@@ -1,7 +1,7 @@
 // Ablation of the candidate-graft reading of footnote 4 (see
 // smrp::proto::GraftMode): plain shortest-path grafts with first-hit merge
-// validation (the default) vs tree-avoiding grafts that maximise the
-// candidate set.
+// validation vs tree-avoiding grafts that maximise the candidate set (the
+// default, SmrpConfig::graft_mode).
 #include <iostream>
 
 #include "bench_scenario.hpp"

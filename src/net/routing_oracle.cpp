@@ -639,26 +639,60 @@ void DetourSearch::compute(RoutingOracle& oracle, NodeId origin,
                            const std::vector<char>& targets,
                            const ExclusionSet& excluded) {
   const RoutingOracle::WorkspaceLease lease = oracle.workspace();
-  lease->run_absorbing_into(oracle.graph(), origin, targets, excluded,
-                            search_);
-  best_ = kNoNode;
-  const NodeId n = oracle.graph().node_count();
-  for (NodeId x = 0; x < n; ++x) {
-    if (targets[static_cast<std::size_t>(x)] != 0) consider(x);
+  best_ = lease->run_to_first_absorbed(oracle.graph(), origin, targets,
+                                       excluded);
+  const ShortestPathTree& search = lease->result();
+  labels_.clear();
+  for (const NodeId v : lease->labelled()) {
+    const auto i = static_cast<std::size_t>(v);
+    labels_.push_back(
+        Label{v, search.parent[i], search.dist[i], search.hops[i]});
   }
+  std::sort(labels_.begin(), labels_.end(),
+            [](const Label& a, const Label& b) { return a.node < b.node; });
 }
 
 void DetourSearch::add_targets(const std::vector<NodeId>& added) {
   for (const NodeId x : added) consider(x);
 }
 
+const DetourSearch::Label* DetourSearch::find(NodeId n) const noexcept {
+  const auto it = std::lower_bound(
+      labels_.begin(), labels_.end(), n,
+      [](const Label& l, NodeId id) { return l.node < id; });
+  return it != labels_.end() && it->node == n ? &*it : nullptr;
+}
+
+const DetourSearch::Label& DetourSearch::best_label() const {
+  const Label* label = found() ? find(best_) : nullptr;
+  if (label == nullptr) throw std::logic_error("detour search found nothing");
+  return *label;
+}
+
+double DetourSearch::distance() const { return best_label().dist; }
+
+int DetourSearch::hops() const { return best_label().hops; }
+
+std::vector<NodeId> DetourSearch::path() const {
+  std::vector<NodeId> out;
+  for (const Label* l = &best_label(); l != nullptr; l = find(l->parent)) {
+    out.push_back(l->node);
+  }
+  std::reverse(out.begin(), out.end());
+  return out;
+}
+
 void DetourSearch::consider(NodeId target) noexcept {
-  if (!search_.reachable(target)) return;
-  const double d = search_.dist[static_cast<std::size_t>(target)];
-  const bool better =
-      best_ == kNoNode || d < search_.dist[static_cast<std::size_t>(best_)] ||
-      (d == search_.dist[static_cast<std::size_t>(best_)] && target < best_);
-  if (better) best_ = target;
+  // A node the search labelled but did not settle carries a tentative
+  // distance no smaller than its true one, and its true (dist, id) comes
+  // after the best's: it never wins, so the tentative value is harmless.
+  const Label* label = find(target);
+  if (label == nullptr) return;
+  const double best_dist = found() ? find(best_)->dist : kInfinity;
+  if (label->dist < best_dist ||
+      (label->dist == best_dist && target < best_)) {
+    best_ = target;
+  }
 }
 
 }  // namespace smrp::net

@@ -351,13 +351,17 @@ class RoutingOracle {
 ///
 /// compute() runs one absorbing search from `origin` (targets absorb, so
 /// the path it yields crosses no target before its endpoint — exactly the
-/// new links a restoration graft brings in) and records the nearest
-/// reachable target (ties: lowest id). As the target set grows
-/// monotonically — each applied repair pulls grafted nodes back on-tree —
-/// add_targets() updates the answer against the delta in O(|delta|): the
-/// cached snapshot stays exact because any origin→x path invalidated by
-/// the growth crosses an added node strictly earlier on the path, which
-/// the delta scan also considers.
+/// new links a restoration graft brings in) and stops when it settles its
+/// first target: the heap pops in (dist, id) order, so that is the nearest
+/// reachable target, ties to the lowest id. The search keeps only the
+/// labels it made, so it costs the region it explored rather than the
+/// graph. As the target set grows monotonically — each applied repair
+/// pulls grafted nodes back on-tree — add_targets() updates the answer
+/// against the delta in O(|delta| log region): the snapshot stays exact
+/// because any origin→x path invalidated by the growth crosses an added
+/// node strictly earlier on the path, which the delta scan also considers,
+/// and every node that could beat the current best was settled before the
+/// stop (DESIGN.md §17).
 class DetourSearch {
  public:
   /// Fresh absorbing search; `targets` flags the absorbing set (sized to
@@ -370,15 +374,26 @@ class DetourSearch {
 
   [[nodiscard]] bool found() const noexcept { return best_ != kNoNode; }
   [[nodiscard]] NodeId best_target() const noexcept { return best_; }
-  /// The underlying search snapshot (valid after compute()).
-  [[nodiscard]] const ShortestPathTree& search() const noexcept {
-    return search_;
-  }
+  /// Length and hop count of the detour to best_target(), and its node
+  /// sequence origin → … → best_target(). Require found().
+  [[nodiscard]] double distance() const;
+  [[nodiscard]] int hops() const;
+  [[nodiscard]] std::vector<NodeId> path() const;
 
  private:
+  struct Label {
+    NodeId node = kNoNode;
+    NodeId parent = kNoNode;
+    double dist = kInfinity;
+    std::int32_t hops = -1;
+  };
+
+  /// The label of `n`, or null when the search never reached it.
+  [[nodiscard]] const Label* find(NodeId n) const noexcept;
+  [[nodiscard]] const Label& best_label() const;
   void consider(NodeId target) noexcept;
 
-  ShortestPathTree search_;
+  std::vector<Label> labels_;  ///< every node the search labelled, by id
   NodeId best_ = kNoNode;
 };
 

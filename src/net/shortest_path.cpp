@@ -61,28 +61,52 @@ using QueueEntry = std::pair<double, NodeId>;
 
 }  // namespace
 
-void DijkstraWorkspace::run_impl(const Graph& g, NodeId source,
-                                 const ExclusionSet& excluded,
-                                 const std::vector<char>* absorbing,
-                                 ShortestPathTree& tree) {
+NodeId DijkstraWorkspace::run_impl(const Graph& g, NodeId source,
+                                   const ExclusionSet& excluded,
+                                   const std::vector<char>* absorbing,
+                                   SearchBound bound, bool stop_at_absorbed,
+                                   ShortestPathTree& tree) {
   if (!g.valid_node(source)) throw std::out_of_range("bad source node");
   if (excluded.node_banned(source)) {
     throw std::invalid_argument("source node is banned");
   }
 
-  const auto n = static_cast<std::size_t>(g.node_count());
-  tree.source = source;
-  tree.dist.assign(n, kInfinity);
-  tree.parent.assign(n, kNoNode);
-  tree.parent_link.assign(n, kNoLink);
-  tree.hops.assign(n, -1);
-
+  // Undo the previous run. A run into tree_ recorded the nodes it
+  // labelled, so only those entries are reset (labelled_ ids index the
+  // arrays as they were sized for that run). A run into a caller-owned
+  // tree is a whole-tree search anyway, so it records nothing and its
+  // settled flags are cleared whole.
+  if (tree_dirty_) {
+    for (const NodeId v : labelled_) {
+      const auto i = static_cast<std::size_t>(v);
+      settled_[i] = 0;
+      tree_.dist[i] = kInfinity;
+      tree_.parent[i] = kNoNode;
+      tree_.parent_link[i] = kNoLink;
+      tree_.hops[i] = -1;
+    }
+  } else {
+    std::fill(settled_.begin(), settled_.end(), 0);
+  }
+  labelled_.clear();
   heap_.clear();
-  settled_.assign(n, 0);
+
+  const auto n = static_cast<std::size_t>(g.node_count());
+  if (settled_.size() != n) settled_.assign(n, 0);
+  tree_dirty_ = &tree == &tree_;
+  const bool record = tree_dirty_;
+  if (!tree_dirty_ || tree.dist.size() != n) {
+    tree.dist.assign(n, kInfinity);
+    tree.parent.assign(n, kNoNode);
+    tree.parent_link.assign(n, kNoLink);
+    tree.hops.assign(n, -1);
+  }
+  tree.source = source;
 
   const auto heap_greater = std::greater<QueueEntry>{};
   tree.dist[static_cast<std::size_t>(source)] = 0.0;
   tree.hops[static_cast<std::size_t>(source)] = 0;
+  if (record) labelled_.push_back(source);
   heap_.emplace_back(0.0, source);
 
   while (!heap_.empty()) {
@@ -93,7 +117,10 @@ void DijkstraWorkspace::run_impl(const Graph& g, NodeId source,
     if (settled_[u]) continue;
     settled_[u] = 1;
     // Absorbing nodes are valid destinations but never relay further.
-    if (absorbing != nullptr && (*absorbing)[u] != 0) continue;
+    if (absorbing != nullptr && (*absorbing)[u] != 0) {
+      if (stop_at_absorbed) return top.second;
+      continue;
+    }
 
     for (const Adjacency& adj : g.neighbors(top.second)) {
       if (excluded.link_banned(adj.link) || excluded.node_banned(adj.neighbor))
@@ -101,6 +128,10 @@ void DijkstraWorkspace::run_impl(const Graph& g, NodeId source,
       const auto v = static_cast<std::size_t>(adj.neighbor);
       if (settled_[v]) continue;
       const double candidate = tree.dist[u] + g.link(adj.link).weight;
+      if (bound.potential != nullptr &&
+          candidate + (*bound.potential)[v] > bound.limit) {
+        continue;
+      }
       // Equal-cost ties prefer fewer hops (an expanding-ring search finds
       // the closer-by-hops node first), then the lower predecessor id for
       // determinism. A node with no predecessor yet (only the source, via
@@ -114,6 +145,9 @@ void DijkstraWorkspace::run_impl(const Graph& g, NodeId source,
             (candidate_hops == tree.hops[v] && tree.parent[v] != kNoNode &&
              top.second < tree.parent[v])));
       if (better) {
+        if (record && tree.dist[v] == kInfinity) {
+          labelled_.push_back(adj.neighbor);
+        }
         tree.dist[v] = candidate;
         tree.parent[v] = top.second;
         tree.parent_link[v] = adj.link;
@@ -123,38 +157,62 @@ void DijkstraWorkspace::run_impl(const Graph& g, NodeId source,
       }
     }
   }
+  return kNoNode;
 }
 
-const ShortestPathTree& DijkstraWorkspace::run(const Graph& g, NodeId source,
-                                               const ExclusionSet& excluded) {
-  run_into(g, source, excluded, tree_);
-  return tree_;
-}
-
-const ShortestPathTree& DijkstraWorkspace::run_absorbing(
-    const Graph& g, NodeId source, const std::vector<char>& absorbing,
-    const ExclusionSet& excluded) {
-  run_absorbing_into(g, source, absorbing, excluded, tree_);
-  return tree_;
-}
-
-void DijkstraWorkspace::run_into(const Graph& g, NodeId source,
-                                 const ExclusionSet& excluded,
-                                 ShortestPathTree& out) {
-  run_impl(g, source, excluded, nullptr, out);
-}
-
-void DijkstraWorkspace::run_absorbing_into(const Graph& g, NodeId source,
-                                           const std::vector<char>& absorbing,
-                                           const ExclusionSet& excluded,
-                                           ShortestPathTree& out) {
+void DijkstraWorkspace::check_absorbing(
+    const Graph& g, NodeId source, const std::vector<char>& absorbing) const {
   if (absorbing.size() != static_cast<std::size_t>(g.node_count())) {
     throw std::invalid_argument("absorbing flags sized incorrectly");
   }
   if (g.valid_node(source) && absorbing[static_cast<std::size_t>(source)]) {
     throw std::invalid_argument("source must not be absorbing");
   }
-  run_impl(g, source, excluded, &absorbing, out);
+}
+
+const ShortestPathTree& DijkstraWorkspace::run(const Graph& g, NodeId source,
+                                               const ExclusionSet& excluded) {
+  run_impl(g, source, excluded, nullptr, {}, false, tree_);
+  return tree_;
+}
+
+const ShortestPathTree& DijkstraWorkspace::run_absorbing(
+    const Graph& g, NodeId source, const std::vector<char>& absorbing,
+    const ExclusionSet& excluded, SearchBound bound) {
+  check_absorbing(g, source, absorbing);
+  if (bound.potential != nullptr &&
+      bound.potential->size() != static_cast<std::size_t>(g.node_count())) {
+    throw std::invalid_argument("search potential sized incorrectly");
+  }
+  run_impl(g, source, excluded, &absorbing, bound, false, tree_);
+  return tree_;
+}
+
+NodeId DijkstraWorkspace::run_to_first_absorbed(
+    const Graph& g, NodeId source, const std::vector<char>& absorbing,
+    const ExclusionSet& excluded) {
+  check_absorbing(g, source, absorbing);
+  return run_impl(g, source, excluded, &absorbing, {}, true, tree_);
+}
+
+void DijkstraWorkspace::run_into(const Graph& g, NodeId source,
+                                 const ExclusionSet& excluded,
+                                 ShortestPathTree& out) {
+  run_impl(g, source, excluded, nullptr, {}, false, out);
+}
+
+void DijkstraWorkspace::run_absorbing_into(const Graph& g, NodeId source,
+                                           const std::vector<char>& absorbing,
+                                           const ExclusionSet& excluded,
+                                           ShortestPathTree& out) {
+  check_absorbing(g, source, absorbing);
+  run_impl(g, source, excluded, &absorbing, {}, false, out);
+}
+
+std::vector<char>& DijkstraWorkspace::node_flags(NodeId node_count) {
+  const auto n = static_cast<std::size_t>(node_count);
+  if (flags_.size() != n) flags_.assign(n, 0);
+  return flags_;
 }
 
 ShortestPathTree dijkstra(const Graph& g, NodeId source,

@@ -127,13 +127,30 @@ struct ShortestPathTree {
   [[nodiscard]] std::vector<LinkId> link_path_from_source(NodeId target) const;
 };
 
+/// Optional pruning of a search, A*-style (DESIGN.md §17): a relaxation
+/// that would label node v with distance d is dropped when
+/// d + potential[v] > limit. The heap still orders by d alone, so with a
+/// consistent potential (potential[u] <= w(u,v) + potential[v] on every
+/// link) every node whose true distance satisfies d + potential <= limit
+/// keeps exactly the (dist, hops, parent) label an unbounded run gives it,
+/// and so does every equal-cost predecessor of such a node. A null
+/// potential means no bound.
+struct SearchBound {
+  const std::vector<double>* potential = nullptr;  ///< sized to the node count
+  double limit = kInfinity;
+};
+
 /// Reusable scratch space for repeated Dijkstra runs. A single run
 /// allocates four result vectors plus the queue and settled flags; hot
 /// paths (candidate enumeration, per-member recovery searches) run
 /// thousands of searches per trial, so they thread one workspace through
-/// and every run after the first reuses the same storage. Results are
-/// bit-for-bit identical to the free functions (a property test enforces
-/// this). Not thread-safe; use one workspace per thread.
+/// and every run after the first reuses the same storage. A run into the
+/// workspace's own tree records the nodes it labels, and the next run
+/// resets only those entries, so a search that stops early or is bounded
+/// costs what it explores, not O(nodes). Runs into caller-owned trees
+/// fill the whole tree anyway and record nothing. Results are bit-for-bit
+/// identical to the free functions (a property test enforces this). Not
+/// thread-safe; use one workspace per thread.
 class DijkstraWorkspace {
  public:
   /// Run Dijkstra and return the workspace's internal result tree. The
@@ -141,25 +158,63 @@ class DijkstraWorkspace {
   /// workspace; callers that need the result to outlive it use run_into.
   const ShortestPathTree& run(const Graph& g, NodeId source,
                               const ExclusionSet& excluded = ExclusionSet{});
+  /// Absorbing run (see dijkstra_absorbing), optionally pruned by `bound`;
+  /// nodes the bound cuts off read as unreachable.
   const ShortestPathTree& run_absorbing(
       const Graph& g, NodeId source, const std::vector<char>& absorbing,
-      const ExclusionSet& excluded = ExclusionSet{});
+      const ExclusionSet& excluded = ExclusionSet{}, SearchBound bound = {});
 
-  /// Same, but fill a caller-owned tree (reusing its capacity); only the
-  /// queue/settled scratch is shared with the workspace.
+  /// Absorbing run that stops as soon as it settles its first absorbing
+  /// node: the nearest one, ties to the lowest id, because the queue pops
+  /// in (dist, id) order. Returns that node, or kNoNode when no absorbing
+  /// node is reachable. result() then holds final labels for every node
+  /// settled before the stop; other labelled nodes carry tentative
+  /// distances no smaller than their true ones.
+  NodeId run_to_first_absorbed(const Graph& g, NodeId source,
+                               const std::vector<char>& absorbing,
+                               const ExclusionSet& excluded = ExclusionSet{});
+
+  /// Same as run/run_absorbing, but fill a caller-owned tree (reusing its
+  /// capacity; every entry is rewritten); only the queue/settled scratch
+  /// is shared with the workspace.
   void run_into(const Graph& g, NodeId source, const ExclusionSet& excluded,
                 ShortestPathTree& out);
   void run_absorbing_into(const Graph& g, NodeId source,
                           const std::vector<char>& absorbing,
                           const ExclusionSet& excluded, ShortestPathTree& out);
 
- private:
-  void run_impl(const Graph& g, NodeId source, const ExclusionSet& excluded,
-                const std::vector<char>* absorbing, ShortestPathTree& out);
+  /// The internal tree the last run/run_absorbing/run_to_first_absorbed
+  /// filled.
+  [[nodiscard]] const ShortestPathTree& result() const noexcept {
+    return tree_;
+  }
+  /// Nodes the last run gave a finite distance, in labelling order (empty
+  /// after a run into a caller-owned tree).
+  [[nodiscard]] const std::vector<NodeId>& labelled() const noexcept {
+    return labelled_;
+  }
 
-  ShortestPathTree tree_;                        ///< result of run()
+  /// Per-node caller scratch flags (e.g. the absorbing set), sized to
+  /// `node_count` and all zero on return. A caller that sets flags must
+  /// clear them again before the workspace goes back to its pool, so the
+  /// next user can rely on the all-zero state without an O(nodes) fill.
+  [[nodiscard]] std::vector<char>& node_flags(NodeId node_count);
+
+ private:
+  NodeId run_impl(const Graph& g, NodeId source, const ExclusionSet& excluded,
+                  const std::vector<char>* absorbing, SearchBound bound,
+                  bool stop_at_absorbed, ShortestPathTree& out);
+  void check_absorbing(const Graph& g, NodeId source,
+                       const std::vector<char>& absorbing) const;
+
+  ShortestPathTree tree_;  ///< result of run()/run_absorbing()
+  /// Whether the last run wrote tree_ and recorded labelled_ (so the
+  /// next run resets sparsely); false after a run into a caller-owned tree.
+  bool tree_dirty_ = false;
+  std::vector<NodeId> labelled_;                 ///< see labelled()
   std::vector<std::pair<double, NodeId>> heap_;  ///< (dist, node) min-heap
   std::vector<char> settled_;
+  std::vector<char> flags_;                      ///< see node_flags()
 };
 
 /// Dijkstra over the whole graph.

@@ -6,11 +6,55 @@
 
 namespace smrp::proto {
 
+namespace {
+
+// Merge-flag values in the leased workspace's scratch. Both are nonzero,
+// so both absorb the search: a merge node ends a graft, and a node of a
+// reshaping member's own subtree is never expanded, which leaves every
+// other node's label exactly as banning it would.
+constexpr char kMergeNode = 1;
+constexpr char kMovingSubtree = 2;
+
+/// Nodes of the subtree rooted at `root` (none if `root` is off-tree),
+/// breadth-first: O(subtree), unlike MulticastTree::on_tree_nodes()'s
+/// scan over the whole graph.
+std::vector<NodeId> subtree_nodes(const MulticastTree& tree, NodeId root,
+                                  std::size_t reserve) {
+  std::vector<NodeId> out;
+  if (!tree.on_tree(root)) return out;
+  out.reserve(reserve);
+  out.push_back(root);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    for (const NodeId child : tree.children(out[i])) out.push_back(child);
+  }
+  return out;
+}
+
+/// Clears the flags it was given on scope exit, however the enumeration
+/// ends: the workspace scratch must be all zero for its next user.
+class FlagReset {
+ public:
+  FlagReset(std::vector<char>& flags, const std::vector<NodeId>& nodes)
+      : flags_(flags), nodes_(nodes) {}
+  FlagReset(const FlagReset&) = delete;
+  FlagReset& operator=(const FlagReset&) = delete;
+  ~FlagReset() {
+    for (const NodeId n : nodes_) flags_[static_cast<std::size_t>(n)] = 0;
+  }
+
+ private:
+  std::vector<char>& flags_;
+  const std::vector<NodeId>& nodes_;
+};
+
+}  // namespace
+
 std::vector<JoinCandidate> enumerate_candidates(
     const Graph& g, const MulticastTree& tree, NodeId joiner,
     double spf_delay, const SmrpConfig& config,
     std::optional<NodeId> reshaping_member,
-    const net::ExclusionSet* unusable, net::RoutingOracle* oracle) {
+    const net::ExclusionSet* unusable, net::RoutingOracle* oracle,
+    const net::ShortestPathTree* source_spf) {
   // Callers without a shared oracle get a throwaway one; both graft
   // modes below then go through its workspace pool / SPF cache.
   std::unique_ptr<net::RoutingOracle> owned_oracle;
@@ -20,11 +64,17 @@ std::vector<JoinCandidate> enumerate_candidates(
   }
 
   std::vector<JoinCandidate> out;
-  const double d_thresh = config.d_thresh;
+  const double bound = (1.0 + config.d_thresh) * spf_delay + 1e-9;
+  const auto bound_check = [&](double total) { return total <= bound; };
 
   const bool reshaping = reshaping_member.has_value();
   if (reshaping && *reshaping_member != joiner) {
     throw std::invalid_argument("reshaping joiner must be the member itself");
+  }
+  if (source_spf != nullptr &&
+      (source_spf->source != tree.source() ||
+       source_spf->dist.size() != static_cast<std::size_t>(g.node_count()))) {
+    throw std::invalid_argument("source_spf is not the tree source's SPF");
   }
 
   if (!reshaping && tree.on_tree(joiner)) {
@@ -36,29 +86,29 @@ std::vector<JoinCandidate> enumerate_candidates(
     self.graft_delay = 0.0;
     self.total_delay = tree.delay_to_source(joiner);
     self.shr = tree.shr(joiner);
-    self.within_bound =
-        self.total_delay <= (1.0 + d_thresh) * spf_delay + 1e-9;
+    self.within_bound = bound_check(self.total_delay);
     out.push_back(std::move(self));
     return out;
   }
 
-  // During reshaping, the member's own subtree is banned outright —
-  // merging below itself would create a cycle, and descendants move along
-  // with the member.
-  net::ExclusionSet excluded = unusable != nullptr ? *unusable
-                                                   : net::ExclusionSet(g);
-  std::vector<char> merge_allowed(static_cast<std::size_t>(g.node_count()), 0);
-  for (const NodeId n : tree.on_tree_nodes()) {
-    if (reshaping && tree.is_ancestor_or_self(joiner, n)) {
-      if (n != joiner) excluded.ban_node(n);
-      continue;
+  // Flag every admissible merge node in the leased workspace's scratch.
+  // During reshaping, the member's own subtree is excluded — merging below
+  // itself would create a cycle, and descendants move along with the
+  // member.
+  const net::RoutingOracle::WorkspaceLease lease = oracle->workspace();
+  std::vector<char>& flags = lease->node_flags(g.node_count());
+  const std::vector<NodeId> on_tree = subtree_nodes(
+      tree, tree.source(), static_cast<std::size_t>(tree.on_tree_count()));
+  const FlagReset reset(flags, on_tree);
+  for (const NodeId n : on_tree) flags[static_cast<std::size_t>(n)] = kMergeNode;
+  std::vector<NodeId> moving;
+  if (reshaping) {
+    moving = subtree_nodes(tree, joiner, 1);
+    for (const NodeId n : moving) {
+      flags[static_cast<std::size_t>(n)] = n == joiner ? 0 : kMovingSubtree;
     }
-    merge_allowed[static_cast<std::size_t>(n)] = 1;
   }
 
-  const auto bound_check = [&](double total) {
-    return total <= (1.0 + d_thresh) * spf_delay + 1e-9;
-  };
   const auto push_candidate = [&](NodeId merge,
                                   const net::ShortestPathTree& search) {
     JoinCandidate c;
@@ -72,32 +122,70 @@ std::vector<JoinCandidate> enumerate_candidates(
     c.within_bound = bound_check(c.total_delay);
     out.push_back(std::move(c));
   };
+  // Merge nodes `search` reached, in ascending id order (the order the
+  // candidates have always been listed in).
+  const auto reached_merges = [&](const net::ShortestPathTree& search) {
+    std::vector<NodeId> merges;
+    for (const NodeId n : on_tree) {
+      if (flags[static_cast<std::size_t>(n)] == kMergeNode &&
+          search.reachable(n)) {
+        merges.push_back(n);
+      }
+    }
+    std::sort(merges.begin(), merges.end());
+    return merges;
+  };
 
   if (config.graft_mode == GraftMode::kAvoidTree) {
     // Every admissible merge node absorbs the search, so each reached one
     // gets the shortest graft that meets the tree only there. The search
     // depends on the tree state (the absorbing flags), so it is never
     // cached — the oracle only contributes its pooled workspace.
-    net::ShortestPathTree grafts;
-    {
-      const net::RoutingOracle::WorkspaceLease lease = oracle->workspace();
-      lease->run_absorbing_into(g, joiner, merge_allowed, excluded, grafts);
-    }
-    for (const NodeId merge : tree.on_tree_nodes()) {
-      if (!merge_allowed[static_cast<std::size_t>(merge)]) continue;
-      if (!grafts.reachable(merge)) continue;
-      push_candidate(merge, grafts);
+    //
+    // With the source's SPF at hand the search is bounded A*-style
+    // (DESIGN.md §17): D_SPF(S, v) never exceeds the rest of a graft
+    // through v plus its merge node's on-tree delay, so pruning at
+    // dist + D_SPF(S, v) > bound keeps every within-bound candidate with
+    // its exact graft. The relative slack covers float reassociation.
+    const net::ExclusionSet no_exclusions;
+    const net::ExclusionSet& excluded =
+        unusable != nullptr ? *unusable : no_exclusions;
+    const net::SearchBound pruning =
+        source_spf != nullptr
+            ? net::SearchBound{&source_spf->dist, bound + 1e-9 * bound}
+            : net::SearchBound{};
+    const auto collect = [&](net::SearchBound b) {
+      const net::ShortestPathTree& grafts =
+          lease->run_absorbing(g, joiner, flags, excluded, b);
+      for (const NodeId merge : reached_merges(grafts)) {
+        push_candidate(merge, grafts);
+      }
+    };
+    collect(pruning);
+    // A join that no candidate fits falls back to the lowest-delay one,
+    // which may lie outside the bound: re-run unbounded so select_path
+    // sees every candidate. A reshape only ever takes a within-bound one.
+    const bool none_within = std::none_of(
+        out.begin(), out.end(),
+        [](const JoinCandidate& c) { return c.within_bound; });
+    if (pruning.potential != nullptr && none_within && !reshaping &&
+        config.fallback_when_infeasible) {
+      out.clear();
+      collect(net::SearchBound{});
     }
   } else {
     // kFirstHit: plain shortest paths from the joiner; an on-tree node is
     // a valid merge only if the joiner's shortest path to it meets the
     // tree there first (otherwise the path would really merge earlier).
     // Tree-independent, so the oracle caches it by (joiner, exclusions).
+    net::ExclusionSet excluded =
+        unusable != nullptr ? *unusable : net::ExclusionSet(g);
+    for (const NodeId n : moving) {
+      if (n != joiner) excluded.ban_node(n);
+    }
     const net::RoutingOracle::TreePtr cached = oracle->spf(joiner, excluded);
     const net::ShortestPathTree& spf = *cached;
-    for (const NodeId merge : tree.on_tree_nodes()) {
-      if (!merge_allowed[static_cast<std::size_t>(merge)]) continue;
-      if (!spf.reachable(merge)) continue;
+    for (const NodeId merge : reached_merges(spf)) {
       bool first_hit = true;
       for (NodeId cur = spf.parent[static_cast<std::size_t>(merge)];
            cur != net::kNoNode && cur != joiner;
@@ -150,14 +238,21 @@ std::optional<Selection> select_path(std::vector<JoinCandidate> candidates,
   return sel;
 }
 
-std::optional<Selection> select_join_path(const Graph& g,
-                                          const MulticastTree& tree,
-                                          NodeId joiner, double spf_delay,
-                                          const SmrpConfig& config,
-                                          net::RoutingOracle* oracle) {
+std::optional<Selection> select_join_path(
+    const Graph& g, const MulticastTree& tree, NodeId joiner,
+    double spf_delay, const SmrpConfig& config, net::RoutingOracle* oracle,
+    const net::ShortestPathTree* source_spf) {
+  // With a shared oracle the source's SPF is a cache hit, so the bounded
+  // search costs no extra Dijkstra run; without one it would cost a full
+  // run, more than the unbounded search it saves.
+  net::RoutingOracle::TreePtr fetched;
+  if (source_spf == nullptr && oracle != nullptr) {
+    fetched = oracle->spf(tree.source());
+    source_spf = fetched.get();
+  }
   return select_path(
       enumerate_candidates(g, tree, joiner, spf_delay, config, std::nullopt,
-                           nullptr, oracle),
+                           nullptr, oracle, source_spf),
       spf_delay, config);
 }
 

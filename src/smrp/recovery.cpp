@@ -100,12 +100,11 @@ RecoveryOutcome local_detour_recovery(const Graph& g,
   if (!detour.found()) return out;  // recovered stays false
 
   const NodeId best = detour.best_target();
-  const net::ShortestPathTree& search = detour.search();
   out.recovered = true;
   out.reattach_node = best;
-  out.restoration_path = search.path_from_source(best);  // member → … → best
-  out.recovery_distance = search.dist[static_cast<std::size_t>(best)];
-  out.recovery_hops = search.hops[static_cast<std::size_t>(best)];
+  out.restoration_path = detour.path();  // member → … → best
+  out.recovery_distance = detour.distance();
+  out.recovery_hops = detour.hops();
   out.new_delay = out.recovery_distance + tree.delay_to_source(best);
   return out;
 }
@@ -217,14 +216,13 @@ SessionRepairReport repair_session(const Graph& g, MulticastTree& tree,
   };
   std::vector<Candidate> cache(lost.size());
 
-  const auto adopt_local = [&](Candidate& c, NodeId reattach) {
-    const net::ShortestPathTree& search = c.detour.search();
+  const auto adopt_local = [&](Candidate& c) {
+    const NodeId reattach = c.detour.best_target();
     c.outcome.recovered = true;
     c.outcome.reattach_node = reattach;
-    c.outcome.restoration_path = search.path_from_source(reattach);
-    c.outcome.recovery_distance =
-        search.dist[static_cast<std::size_t>(reattach)];
-    c.outcome.recovery_hops = search.hops[static_cast<std::size_t>(reattach)];
+    c.outcome.restoration_path = c.detour.path();
+    c.outcome.recovery_distance = c.detour.distance();
+    c.outcome.recovery_hops = c.detour.hops();
     c.outcome.new_delay =
         c.outcome.recovery_distance + tree.delay_to_source(reattach);
   };
@@ -262,7 +260,7 @@ SessionRepairReport repair_session(const Graph& g, MulticastTree& tree,
     c.outcome.disconnected = true;
     if (policy == DetourPolicy::kLocal) {
       c.detour.compute(*oracle, member, on_tree, excluded);
-      if (c.detour.found()) adopt_local(c, c.detour.best_target());
+      if (c.detour.found()) adopt_local(c);
     } else {
       c.spf = oracle->spf(member, excluded);
       walk_global(c);
@@ -278,7 +276,7 @@ SessionRepairReport repair_session(const Graph& g, MulticastTree& tree,
     if (c.detour.found() &&
         (!c.outcome.recovered ||
          c.detour.best_target() != c.outcome.reattach_node)) {
-      adopt_local(c, c.detour.best_target());
+      adopt_local(c);
     }
   };
 

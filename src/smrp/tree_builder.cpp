@@ -25,11 +25,17 @@ SmrpTreeBuilder::SmrpTreeBuilder(const Graph& g, NodeId source,
                         : nullptr),
       oracle_(oracle != nullptr ? oracle : owned_oracle_.get()),
       spf_from_source_(oracle_->spf(source)),
+      spf_version_(g.topology_version()),
       shr_baseline_(static_cast<std::size_t>(g.node_count()), -1) {}
 
 double SmrpTreeBuilder::spf_delay(NodeId n) const {
   if (!g_->valid_node(n)) throw std::out_of_range("bad node");
   return spf_from_source_->dist[static_cast<std::size_t>(n)];
+}
+
+const net::ShortestPathTree* SmrpTreeBuilder::bounding_spf() const noexcept {
+  return g_->topology_version() == spf_version_ ? spf_from_source_.get()
+                                                : nullptr;
 }
 
 void SmrpTreeBuilder::record_baseline(NodeId member) {
@@ -51,7 +57,8 @@ JoinOutcome SmrpTreeBuilder::join(NodeId member) {
   if (spf == net::kInfinity) return outcome;  // unreachable from the source
 
   const std::optional<Selection> selection =
-      select_join_path(*g_, tree_, member, spf, config_, oracle_);
+      select_join_path(*g_, tree_, member, spf, config_, oracle_,
+                       bounding_spf());
   if (!selection) return outcome;
 
   tree_.graft(member, selection->chosen.graft);
@@ -106,7 +113,8 @@ bool SmrpTreeBuilder::try_reshape(NodeId member) {
 
   const double spf = spf_delay(member);
   std::vector<JoinCandidate> candidates = enumerate_candidates(
-      *g_, tree_, member, spf, config_, member, nullptr, oracle_);
+      *g_, tree_, member, spf, config_, member, nullptr, oracle_,
+      bounding_spf());
 
   // The comparison baseline: the member's current merge point is its
   // upstream node; adjust its SHR exactly as candidate SHRs are adjusted

@@ -7,6 +7,7 @@
 // two agree on the trees they build.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -96,6 +97,12 @@ class SmrpTreeBuilder {
 
   void record_baseline(NodeId member);
 
+  /// spf_from_source_ as the potential that bounds the join and reshape
+  /// searches, or null once the topology has moved since it was fetched:
+  /// a stale SPF could overestimate a distance and prune a within-bound
+  /// graft.
+  [[nodiscard]] const net::ShortestPathTree* bounding_spf() const noexcept;
+
   const Graph* g_;
   SmrpConfig config_;
   MulticastTree tree_;
@@ -104,6 +111,7 @@ class SmrpTreeBuilder {
   std::unique_ptr<net::RoutingOracle> owned_oracle_;
   net::RoutingOracle* oracle_;
   net::RoutingOracle::TreePtr spf_from_source_;
+  std::uint64_t spf_version_;  ///< topology version spf_from_source_ is for
   /// SHR(S,R) observed at R's last join/reshape (Condition I reference).
   std::vector<int> shr_baseline_;
   int fallback_joins_ = 0;

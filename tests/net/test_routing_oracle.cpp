@@ -289,6 +289,66 @@ TEST(DetourSearch, MatchesFreshScanAndDeltaUpdates) {
   EXPECT_EQ(search.best_target(), fresh_best());
 }
 
+// compute() stops at the first target it settles and keeps only the
+// labels it made; the answer, its detour, and every delta update must
+// still match a full absorbing search over the grown target set.
+TEST(DetourSearch, EarlyExitMatchesFullSearchAcrossGrowth) {
+  Rng rng(31);
+  TransitStubParams params;
+  params.transit_nodes = 6;
+  params.stubs_per_transit = 3;
+  params.stub_size = 8;
+  const TransitStubTopology topo = generate_transit_stub(params, rng);
+  const Graph& g = topo.graph;
+  RoutingOracle oracle(g);
+  const auto n = static_cast<std::uint64_t>(g.node_count());
+
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<char> targets(static_cast<std::size_t>(n), 0);
+    for (int k = 0; k < 3; ++k) targets[rng.below(n)] = 1;
+    NodeId origin = kNoNode;
+    while (origin == kNoNode || targets[static_cast<std::size_t>(origin)]) {
+      origin = static_cast<NodeId>(rng.below(n));
+    }
+    ExclusionSet excluded(g);
+    excluded.ban_link(static_cast<LinkId>(
+        rng.below(static_cast<std::uint64_t>(g.link_count()))));
+
+    DetourSearch search;
+    search.compute(oracle, origin, targets, excluded);
+    // The target set only grows, and the snapshot is kept, as in
+    // repair_session: the fresh reference uses the grown set.
+    for (int growth = 0; growth < 4; ++growth) {
+      const ShortestPathTree fresh =
+          dijkstra_absorbing(g, origin, targets, excluded);
+      NodeId best = kNoNode;
+      for (NodeId t = 0; t < g.node_count(); ++t) {
+        if (!targets[static_cast<std::size_t>(t)] || !fresh.reachable(t)) {
+          continue;
+        }
+        if (best == kNoNode || fresh.dist[static_cast<std::size_t>(t)] <
+                                   fresh.dist[static_cast<std::size_t>(best)]) {
+          best = t;
+        }
+      }
+      ASSERT_EQ(search.best_target(), best);
+      if (best != kNoNode) {
+        EXPECT_EQ(search.distance(), fresh.dist[static_cast<std::size_t>(best)]);
+        EXPECT_EQ(search.hops(), fresh.hops[static_cast<std::size_t>(best)]);
+        EXPECT_EQ(search.path(), fresh.path_from_source(best));
+      }
+      std::vector<NodeId> delta;
+      for (int k = 0; k < 2; ++k) {
+        const auto t = static_cast<NodeId>(rng.below(n));
+        if (t == origin || targets[static_cast<std::size_t>(t)]) continue;
+        targets[static_cast<std::size_t>(t)] = 1;
+        delta.push_back(t);
+      }
+      search.add_targets(delta);
+    }
+  }
+}
+
 TEST(RoutingOracle, ConcurrentLookupsKeepInvariants) {
   net::Rng rng(5);
   WaxmanParams wax;

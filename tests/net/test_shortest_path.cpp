@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/routing_oracle.hpp"
 #include "net/waxman.hpp"
 #include "testing_topologies.hpp"
 
@@ -284,6 +285,106 @@ TEST(DijkstraWorkspaceTest, RejectsBadSourcesLikeFreeFunction) {
   absorbing[0] = 1;
   EXPECT_THROW(workspace.run_absorbing(g, 0, absorbing),
                std::invalid_argument);
+}
+
+/// A node the last run never labelled must read exactly as a fresh tree's
+/// unreachable node — no leftovers from an earlier run.
+void expect_unlabelled(const ShortestPathTree& t, NodeId v) {
+  const auto i = static_cast<std::size_t>(v);
+  ASSERT_EQ(t.dist[i], kInfinity) << "node " << v;
+  ASSERT_EQ(t.parent[i], kNoNode) << "node " << v;
+  ASSERT_EQ(t.parent_link[i], kNoLink) << "node " << v;
+  ASSERT_EQ(t.hops[i], -1) << "node " << v;
+}
+
+// A bounded or early-stopped run leaves labels in the workspace's own tree
+// and settled flags, and the next run resets only those. Alternate full,
+// bounded and early-stopped runs on one leased workspace, so each run
+// follows one that labelled more or fewer nodes: each must match a fresh
+// search, and whatever a run did not reach must read as unreached.
+TEST(DijkstraWorkspaceTest, SparseResetLeavesNoStaleState) {
+  Rng rng(77);
+  WaxmanParams params;
+  params.node_count = 150;
+  const Graph g = waxman_graph(params, rng);
+  RoutingOracle oracle(g);
+  const RoutingOracle::WorkspaceLease lease = oracle.workspace();
+  // Any SPF distance is a consistent potential.
+  const ShortestPathTree potential = dijkstra(g, 0);
+
+  std::vector<char> absorbing(static_cast<std::size_t>(g.node_count()), 0);
+  for (NodeId n = 1; n < g.node_count(); n += 11) {
+    absorbing[static_cast<std::size_t>(n)] = 1;
+  }
+  for (int round = 0; round < 12; ++round) {
+    NodeId origin = kNoNode;
+    while (origin == kNoNode || absorbing[static_cast<std::size_t>(origin)]) {
+      origin = static_cast<NodeId>(
+          rng.below(static_cast<std::uint64_t>(g.node_count())));
+    }
+    const ShortestPathTree fresh = dijkstra_absorbing(g, origin, absorbing);
+
+    expect_same_tree(lease->run(g, origin), dijkstra(g, origin));
+
+    // Bounded, after a run that labelled every node: whatever the bound
+    // admits keeps its unbounded label, nothing it excludes is labelled.
+    const double limit = potential.dist[static_cast<std::size_t>(origin)] *
+                         (1.05 + 0.1 * static_cast<double>(round % 4));
+    const ShortestPathTree& bounded = lease->run_absorbing(
+        g, origin, absorbing, ExclusionSet{},
+        SearchBound{&potential.dist, limit});
+    int admitted = 0;
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      const auto i = static_cast<std::size_t>(v);
+      if (bounded.reachable(v)) {
+        ASSERT_LE(bounded.dist[i] + potential.dist[i], limit);
+      } else {
+        expect_unlabelled(bounded, v);
+      }
+      if (!fresh.reachable(v) ||
+          fresh.dist[i] + potential.dist[i] > limit * (1.0 - 1e-9)) {
+        continue;
+      }
+      ++admitted;
+      ASSERT_EQ(bounded.dist[i], fresh.dist[i]) << "node " << v;
+      ASSERT_EQ(bounded.parent[i], fresh.parent[i]) << "node " << v;
+      ASSERT_EQ(bounded.hops[i], fresh.hops[i]) << "node " << v;
+    }
+    EXPECT_GT(admitted, 1);
+    EXPECT_LT(admitted, g.node_count());
+
+    // Unbounded after bounded: a fresh run, bit for bit.
+    expect_same_tree(lease->run_absorbing(g, origin, absorbing), fresh);
+
+    // Early stop: the nearest absorbing node, ties to the lowest id; the
+    // nodes it never labelled read as unreached.
+    NodeId nearest = kNoNode;
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      if (!absorbing[static_cast<std::size_t>(v)] || !fresh.reachable(v)) {
+        continue;
+      }
+      if (nearest == kNoNode ||
+          fresh.dist[static_cast<std::size_t>(v)] <
+              fresh.dist[static_cast<std::size_t>(nearest)]) {
+        nearest = v;
+      }
+    }
+    EXPECT_EQ(lease->run_to_first_absorbed(g, origin, absorbing), nearest);
+    std::vector<char> labelled(static_cast<std::size_t>(g.node_count()), 0);
+    for (const NodeId v : lease->labelled()) {
+      labelled[static_cast<std::size_t>(v)] = 1;
+    }
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      if (!labelled[static_cast<std::size_t>(v)]) {
+        expect_unlabelled(lease->result(), v);
+      }
+    }
+
+    // Into a caller-owned tree after the early stop: again fresh.
+    ShortestPathTree out;
+    lease->run_absorbing_into(g, origin, absorbing, ExclusionSet{}, out);
+    expect_same_tree(out, fresh);
+  }
 }
 
 // ---- Property-style sweeps over random graphs -----------------------------

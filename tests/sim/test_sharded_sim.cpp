@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <mutex>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -156,7 +157,11 @@ struct FloodHarness {
   void on_receive(NodeId n, NodeId from, const Message& m) {
     const auto* data = std::get_if<DataMsg>(&m);
     if (data == nullptr) return;
-    log.push_back(Delivery{fabric.now(n), n, from, data->seq});
+    {
+      // Shard workers deliver concurrently when the fabric runs threaded.
+      const std::lock_guard<std::mutex> lock(log_mu);
+      log.push_back(Delivery{fabric.now(n), n, from, data->seq});
+    }
     const std::uint64_t ttl = data->seq >> 48;
     if (ttl == 0) return;
     const std::uint64_t id = (data->seq >> 16) & 0xffffffffULL;
@@ -190,6 +195,7 @@ struct FloodHarness {
 
   const net::Graph& graph;
   Fabric& fabric;
+  std::mutex log_mu;
   std::vector<Delivery> log;
 };
 

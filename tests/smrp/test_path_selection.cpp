@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "net/paths.hpp"
+#include "net/routing_oracle.hpp"
+#include "net/transit_stub.hpp"
 #include "net/waxman.hpp"
 #include "smrp/tree_builder.hpp"
 #include "testing_topologies.hpp"
@@ -167,6 +169,146 @@ TEST_P(SelectionProperty, ChosenMergeMinimisesShrWithinBound) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SelectionProperty,
                          ::testing::Values(7, 14, 21, 28, 35));
+
+// ---- Bounded vs unbounded enumeration ----------------------------------------
+
+void expect_same_candidate(const JoinCandidate& a, const JoinCandidate& b) {
+  EXPECT_EQ(a.merge_node, b.merge_node);
+  EXPECT_EQ(a.graft, b.graft);
+  EXPECT_EQ(a.shr, b.shr);
+  EXPECT_EQ(a.graft_delay, b.graft_delay);
+  EXPECT_EQ(a.total_delay, b.total_delay);
+  EXPECT_EQ(a.within_bound, b.within_bound);
+}
+
+/// The choice a reshape makes: the first within-bound candidate of least
+/// (SHR, total delay), as SmrpTreeBuilder::try_reshape picks it.
+const JoinCandidate* best_reshape(const std::vector<JoinCandidate>& cs) {
+  const JoinCandidate* best = nullptr;
+  for (const JoinCandidate& c : cs) {
+    if (!c.within_bound) continue;
+    if (best == nullptr || c.shr < best->shr ||
+        (c.shr == best->shr && c.total_delay < best->total_delay)) {
+      best = &c;
+    }
+  }
+  return best;
+}
+
+std::vector<JoinCandidate> within_bound(const std::vector<JoinCandidate>& cs) {
+  std::vector<JoinCandidate> out;
+  for (const JoinCandidate& c : cs) {
+    if (c.within_bound) out.push_back(c);
+  }
+  return out;
+}
+
+void expect_same_lists(const std::vector<JoinCandidate>& a,
+                       const std::vector<JoinCandidate>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) expect_same_candidate(a[i], b[i]);
+}
+
+struct DifferentialTally {
+  int joins = 0;
+  int fallbacks = 0;
+  int reshape_checks = 0;
+  int pruned = 0;  ///< candidates the bound left out
+};
+
+/// Grow a session on `g`, and before every join compare the bounded and
+/// the unbounded enumeration for the joiner and for a reshaping member,
+/// optionally with random failed links passed as `unusable`.
+void run_bound_differential(const net::Graph& g, double d_thresh,
+                            bool failed_links, std::uint64_t seed,
+                            DifferentialTally& tally) {
+  net::Rng rng(seed);
+  SmrpConfig config;
+  config.d_thresh = d_thresh;
+  net::RoutingOracle oracle(g);
+  SmrpTreeBuilder builder(g, 0, config, &oracle);
+  const net::RoutingOracle::TreePtr source_spf = oracle.spf(0);
+  const auto nodes = static_cast<std::uint64_t>(g.node_count());
+  const auto links = static_cast<std::uint64_t>(g.link_count());
+
+  for (int step = 0; step < 25; ++step) {
+    const auto joiner = static_cast<net::NodeId>(1 + rng.below(nodes - 1));
+    net::ExclusionSet failed(g);
+    for (int k = 0; k < 3; ++k) {
+      failed.ban_link(static_cast<net::LinkId>(rng.below(links)));
+    }
+    const net::ExclusionSet* unusable = failed_links ? &failed : nullptr;
+    const MulticastTree& tree = builder.tree();
+    const double spf = builder.spf_delay(joiner);
+
+    const auto plain = enumerate_candidates(g, tree, joiner, spf, config,
+                                            std::nullopt, unusable, &oracle);
+    const auto bounded =
+        enumerate_candidates(g, tree, joiner, spf, config, std::nullopt,
+                             unusable, &oracle, source_spf.get());
+    expect_same_lists(within_bound(plain), within_bound(bounded));
+    const auto sel_plain = select_path(plain, spf, config);
+    const auto sel_bounded = select_path(bounded, spf, config);
+    ASSERT_EQ(sel_plain.has_value(), sel_bounded.has_value());
+    if (sel_plain) {
+      expect_same_candidate(sel_plain->chosen, sel_bounded->chosen);
+      EXPECT_EQ(sel_plain->used_fallback, sel_bounded->used_fallback);
+      if (sel_plain->used_fallback) ++tally.fallbacks;
+    }
+    ++tally.joins;
+    tally.pruned += static_cast<int>(plain.size() - bounded.size());
+
+    const std::vector<net::NodeId> members = tree.members();
+    if (!members.empty()) {
+      const net::NodeId m = members[rng.below(members.size())];
+      const double m_spf = builder.spf_delay(m);
+      const auto plain_moves = enumerate_candidates(g, tree, m, m_spf, config,
+                                                    m, unusable, &oracle);
+      const auto bounded_moves =
+          enumerate_candidates(g, tree, m, m_spf, config, m, unusable, &oracle,
+                               source_spf.get());
+      expect_same_lists(within_bound(plain_moves), within_bound(bounded_moves));
+      const JoinCandidate* a = best_reshape(plain_moves);
+      const JoinCandidate* b = best_reshape(bounded_moves);
+      ASSERT_EQ(a == nullptr, b == nullptr);
+      if (a != nullptr) expect_same_candidate(*a, *b);
+      ++tally.reshape_checks;
+    }
+    builder.join(joiner);
+  }
+}
+
+// The delay bound prunes the candidate search (DESIGN.md §17); it must
+// never change a selection: every within-bound candidate comes back with
+// the same graft and delays, so select_path and the reshape choice agree,
+// and a join that no candidate fits falls back over the full list.
+TEST(BoundedEnumeration, SelectsExactlyWhatTheFullSearchSelects) {
+  DifferentialTally tally;
+  for (const double d_thresh : {0.0, 0.05, 0.3, 1.0}) {
+    for (const bool failed_links : {false, true}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        net::Rng rng(seed * 7919 + 13);
+        net::WaxmanParams wax;
+        wax.node_count = 80;
+        const net::Graph waxman = net::waxman_graph(wax, rng);
+        run_bound_differential(waxman, d_thresh, failed_links, seed, tally);
+
+        net::TransitStubParams ts;
+        ts.transit_nodes = 6;
+        ts.stubs_per_transit = 3;
+        ts.stub_size = 8;
+        const net::TransitStubTopology topo =
+            net::generate_transit_stub(ts, rng);
+        run_bound_differential(topo.graph, d_thresh, failed_links, seed + 100,
+                               tally);
+      }
+    }
+  }
+  EXPECT_EQ(tally.joins, 4 * 2 * 3 * 2 * 25);
+  EXPECT_GT(tally.reshape_checks, tally.joins / 2);
+  EXPECT_GT(tally.fallbacks, 0) << "the unbounded re-run was never taken";
+  EXPECT_GT(tally.pruned, 0) << "the bound never pruned a candidate";
+}
 
 }  // namespace
 }  // namespace smrp::proto

@@ -5,6 +5,7 @@
 
 #include "eval/failure_sequence.hpp"
 #include "net/shortest_path.hpp"
+#include "net/transit_stub.hpp"
 #include "net/waxman.hpp"
 #include "smrp/recovery.hpp"
 #include "smrp/tree_builder.hpp"
@@ -171,43 +172,32 @@ TEST_P(RepairSessionProperty, TreeValidAndFailureFreeAfterEveryRepair) {
   for (const net::LinkId l : tree.tree_links()) EXPECT_NE(l, victim);
 }
 
-// repair_session caches one absorbing search per lost member and updates
-// each cached candidate only against the nodes the latest repair grafted.
-// This replays the pre-optimization algorithm — a full recompute of every
-// pending member's detour before every round — and checks the optimized
-// pass picked the exact same nearest member, reattach point, and distance
-// each round.
-TEST_P(RepairSessionProperty, CachedRepairMatchesPerRoundFullRecompute) {
-  net::Rng rng(GetParam() + 1000);
-  net::WaxmanParams wax;
-  wax.node_count = 40;
-  auto g = std::make_unique<net::Graph>(net::waxman_graph(wax, rng));
-  SmrpTreeBuilder builder(*g, 0);
-  for (int i = 0; i < 12; ++i) {
-    builder.join(static_cast<net::NodeId>(1 + rng.below(39)));
-  }
-  const mcast::MulticastTree original = builder.tree();
-
-  net::LinkId victim = net::kNoLink;
-  int worst = -1;
-  for (const net::NodeId child : original.children(0)) {
-    if (original.subtree_members(child) > worst) {
-      worst = original.subtree_members(child);
-      victim = original.parent_link(child);
-    }
-  }
-  ASSERT_NE(victim, net::kNoLink);
-
+// repair_session caches one early-exit absorbing search per lost member
+// and updates each cached candidate only against the nodes the latest
+// repair grafted. This replays the pre-optimization algorithm — a full
+// recompute of every pending member's detour before every round — and
+// checks the optimized pass picked the exact same nearest member,
+// reattach point, distance and restoration path each round.
+void expect_cached_repair_matches_full_recompute(
+    const net::Graph& g, const mcast::MulticastTree& original,
+    const Failure& failure) {
   mcast::MulticastTree fast = original;
-  const SessionRepairReport report = repair_session(
-      *g, fast, Failure::of_link(victim), DetourPolicy::kLocal);
+  const SessionRepairReport report =
+      repair_session(g, fast, failure, DetourPolicy::kLocal);
 
   mcast::MulticastTree ref = original;
-  const std::vector<net::NodeId> lost = ref.sever(victim);
-  std::vector<char> pending(static_cast<std::size_t>(g->node_count()), 0);
+  net::ExclusionSet excluded(g);
+  std::vector<net::NodeId> lost;
+  if (failure.kind == Failure::Kind::kLink) {
+    lost = ref.sever(failure.link);
+    excluded.ban_link(failure.link);
+  } else {
+    lost = ref.sever_node(failure.node);
+    excluded.ban_node(failure.node);
+  }
+  ASSERT_EQ(report.disconnected_members, static_cast<int>(lost.size()));
+  std::vector<char> pending(static_cast<std::size_t>(g.node_count()), 0);
   for (const net::NodeId m : lost) pending[static_cast<std::size_t>(m)] = 1;
-  net::ExclusionSet excluded(*g);
-  excluded.ban_link(victim);
 
   const auto rejoin_in_place = [&] {
     for (const net::NodeId m : lost) {
@@ -217,14 +207,13 @@ TEST_P(RepairSessionProperty, CachedRepairMatchesPerRoundFullRecompute) {
       }
     }
   };
-  const auto best_for = [&](net::NodeId member, double& dist,
+  const auto best_for = [&](net::NodeId member, net::ShortestPathTree& search,
                             net::NodeId& reattach) {
-    std::vector<char> on_tree(static_cast<std::size_t>(g->node_count()), 0);
+    std::vector<char> on_tree(static_cast<std::size_t>(g.node_count()), 0);
     for (const net::NodeId n : ref.on_tree_nodes()) {
       on_tree[static_cast<std::size_t>(n)] = 1;
     }
-    const net::ShortestPathTree search =
-        net::dijkstra_absorbing(*g, member, on_tree, excluded);
+    search = net::dijkstra_absorbing(g, member, on_tree, excluded);
     reattach = net::kNoNode;
     for (const net::NodeId n : ref.on_tree_nodes()) {
       if (!search.reachable(n)) continue;
@@ -234,36 +223,92 @@ TEST_P(RepairSessionProperty, CachedRepairMatchesPerRoundFullRecompute) {
         reattach = n;
       }
     }
-    if (reattach == net::kNoNode) return false;
-    dist = search.dist[static_cast<std::size_t>(reattach)];
-    return true;
+    return reattach != net::kNoNode;
   };
 
   for (const RecoveryOutcome& out : report.outcomes) {
     rejoin_in_place();
     net::NodeId expect_member = net::kNoNode;
     net::NodeId expect_at = net::kNoNode;
-    double expect_dist = 0.0;
+    net::ShortestPathTree expect_search;
     for (const net::NodeId m : lost) {
       if (!pending[static_cast<std::size_t>(m)]) continue;
-      double d = 0.0;
+      net::ShortestPathTree search;
       net::NodeId at = net::kNoNode;
-      if (!best_for(m, d, at)) continue;
-      if (expect_member == net::kNoNode || d < expect_dist) {
+      if (!best_for(m, search, at)) continue;
+      if (expect_member == net::kNoNode ||
+          search.dist[static_cast<std::size_t>(at)] <
+              expect_search.dist[static_cast<std::size_t>(expect_at)]) {
         expect_member = m;
-        expect_dist = d;
         expect_at = at;
+        expect_search = std::move(search);
       }
     }
     ASSERT_NE(expect_member, net::kNoNode);
     EXPECT_EQ(out.member, expect_member);
     EXPECT_EQ(out.reattach_node, expect_at);
-    EXPECT_DOUBLE_EQ(out.recovery_distance, expect_dist);
+    EXPECT_DOUBLE_EQ(out.recovery_distance,
+                     expect_search.dist[static_cast<std::size_t>(expect_at)]);
+    EXPECT_EQ(out.recovery_hops,
+              expect_search.hops[static_cast<std::size_t>(expect_at)]);
+    EXPECT_EQ(out.restoration_path, expect_search.path_from_source(expect_at));
     apply_recovery(ref, out);
     pending[static_cast<std::size_t>(out.member)] = 0;
   }
   rejoin_in_place();
   EXPECT_EQ(fast.member_count(), ref.member_count());
+}
+
+/// The source-incident tree link above the most members (the worst case).
+net::LinkId busiest_source_link(const mcast::MulticastTree& tree) {
+  net::LinkId victim = net::kNoLink;
+  int worst = -1;
+  for (const net::NodeId child : tree.children(tree.source())) {
+    if (tree.subtree_members(child) > worst) {
+      worst = tree.subtree_members(child);
+      victim = tree.parent_link(child);
+    }
+  }
+  return victim;
+}
+
+TEST_P(RepairSessionProperty, CachedRepairMatchesPerRoundFullRecompute) {
+  net::Rng rng(GetParam() + 1000);
+  net::WaxmanParams wax;
+  wax.node_count = 40;
+  auto g = std::make_unique<net::Graph>(net::waxman_graph(wax, rng));
+  SmrpTreeBuilder builder(*g, 0);
+  for (int i = 0; i < 12; ++i) {
+    builder.join(static_cast<net::NodeId>(1 + rng.below(39)));
+  }
+  const net::LinkId victim = busiest_source_link(builder.tree());
+  ASSERT_NE(victim, net::kNoLink);
+  expect_cached_repair_matches_full_recompute(*g, builder.tree(),
+                                              Failure::of_link(victim));
+
+  // On a transit-stub graph the nearest survivor is usually inside the
+  // member's own stub, so the early exit really truncates each search.
+  // Fail the worst-case link and, separately, the node below it.
+  net::TransitStubParams ts;
+  ts.transit_nodes = 6;
+  ts.stubs_per_transit = 3;
+  ts.stub_size = 10;
+  const net::TransitStubTopology topo = net::generate_transit_stub(ts, rng);
+  const auto nodes = static_cast<std::uint64_t>(topo.graph.node_count());
+  SmrpTreeBuilder ts_builder(topo.graph, 0);
+  for (int i = 0; i < 30; ++i) {
+    ts_builder.join(static_cast<net::NodeId>(1 + rng.below(nodes - 1)));
+  }
+  const mcast::MulticastTree& tree = ts_builder.tree();
+  const net::LinkId ts_victim = busiest_source_link(tree);
+  ASSERT_NE(ts_victim, net::kNoLink);
+  expect_cached_repair_matches_full_recompute(topo.graph, tree,
+                                              Failure::of_link(ts_victim));
+  const net::NodeId below = topo.graph.link(ts_victim).a == 0
+                                ? topo.graph.link(ts_victim).b
+                                : topo.graph.link(ts_victim).a;
+  expect_cached_repair_matches_full_recompute(topo.graph, tree,
+                                              Failure::of_node(below));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RepairSessionProperty,
