@@ -4,155 +4,238 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace smrp::mcast {
+
+namespace {
+
+// A new tree holds 16 records and a 32-cell index before it first grows:
+// enough for the small trees the distributed engine snapshots on every
+// join without a reallocation, and still O(1) next to any graph.
+constexpr std::size_t kInitialRecords = 16;
+constexpr std::size_t kInitialCells = 32;
+
+}  // namespace
 
 MulticastTree::MulticastTree(const Graph& graph, NodeId source)
     : graph_(&graph), source_(source) {
   if (!graph.valid_node(source)) throw std::out_of_range("bad source");
-  const auto nodes = static_cast<std::size_t>(graph.node_count());
-  role_.assign(nodes, NodeRole::kOffTree);
-  parent_.assign(nodes, kNoNode);
-  parent_link_.assign(nodes, kNoLink);
-  n_members_.assign(nodes, 0);
-  shr_.assign(nodes, 0);
-  first_child_.assign(nodes, kNoNode);
-  last_child_.assign(nodes, kNoNode);
-  next_sibling_.assign(nodes, kNoNode);
-  role_[static_cast<std::size_t>(source_)] =
-      NodeRole::kRelay;  // the source forwards but is not a receiver
-  on_tree_count_ = 1;
+  records_.reserve(kInitialRecords);
+  cells_.resize(kInitialCells);
+  // The source forwards but is not a receiver.
+  rec(acquire(source_)).role = NodeRole::kRelay;
 }
 
-void MulticastTree::check_node(NodeId n) const {
+MulticastTree::Slot MulticastTree::checked_find(NodeId n) const {
   if (!graph_->valid_node(n)) throw std::out_of_range("bad node id");
+  return find(n);
 }
 
-void MulticastTree::append_child(NodeId parent, NodeId child) {
-  const auto p = static_cast<std::size_t>(parent);
-  const auto c = static_cast<std::size_t>(child);
-  next_sibling_[c] = kNoNode;
-  if (first_child_[p] == kNoNode) {
-    first_child_[p] = child;
-  } else {
-    next_sibling_[static_cast<std::size_t>(last_child_[p])] = child;
+std::size_t MulticastTree::home_cell(NodeId n) const noexcept {
+  // Fibonacci hashing: the golden-ratio multiply spreads consecutive ids
+  // across the table.
+  const std::uint64_t h =
+      static_cast<std::uint64_t>(static_cast<std::uint32_t>(n)) *
+      0x9E3779B97F4A7C15ULL;
+  return static_cast<std::size_t>(h >> 32) & (cells_.size() - 1);
+}
+
+MulticastTree::Slot MulticastTree::find(NodeId n) const noexcept {
+  const std::size_t mask = cells_.size() - 1;
+  for (std::size_t i = home_cell(n);; i = (i + 1) & mask) {
+    const Cell& cell = cells_[i];
+    if (cell.node == n) return cell.slot;
+    if (cell.node == kNoNode) return kNoSlot;
   }
-  last_child_[p] = child;
 }
 
-void MulticastTree::unlink_child(NodeId parent, NodeId child) {
-  const auto p = static_cast<std::size_t>(parent);
-  NodeId prev = kNoNode;
-  for (NodeId cur = first_child_[p]; cur != kNoNode;
-       cur = next_sibling_[static_cast<std::size_t>(cur)]) {
-    if (cur == child) {
-      const NodeId next = next_sibling_[static_cast<std::size_t>(child)];
-      if (prev == kNoNode) {
-        first_child_[p] = next;
-      } else {
-        next_sibling_[static_cast<std::size_t>(prev)] = next;
-      }
-      if (last_child_[p] == child) last_child_[p] = prev;
-      next_sibling_[static_cast<std::size_t>(child)] = kNoNode;
-      return;
+MulticastTree::Slot MulticastTree::source_slot() const noexcept {
+  return find(source_);
+}
+
+void MulticastTree::index_insert(NodeId n, Slot s) {
+  if (2 * (static_cast<std::size_t>(on_tree_count_) + 1) > cells_.size()) {
+    std::vector<Cell> old(cells_.size() * 2);
+    old.swap(cells_);
+    for (const Cell& cell : old) {
+      if (cell.node != kNoNode) index_place(cell);
     }
-    prev = cur;
   }
+  index_place(Cell{n, s});
 }
 
-void MulticastTree::clear_node(NodeId n) {
-  const auto i = static_cast<std::size_t>(n);
-  role_[i] = NodeRole::kOffTree;
-  parent_[i] = kNoNode;
-  parent_link_[i] = kNoLink;
-  n_members_[i] = 0;
-  shr_[i] = 0;
-  first_child_[i] = kNoNode;
-  last_child_[i] = kNoNode;
-  next_sibling_[i] = kNoNode;
+void MulticastTree::index_place(Cell cell) {
+  const std::size_t mask = cells_.size() - 1;
+  std::size_t i = home_cell(cell.node);
+  while (cells_[i].node != kNoNode) i = (i + 1) & mask;
+  cells_[i] = cell;
+}
+
+void MulticastTree::index_erase(NodeId n) {
+  const std::size_t mask = cells_.size() - 1;
+  std::size_t hole = home_cell(n);
+  while (cells_[hole].node != n) hole = (hole + 1) & mask;
+  // Backward shift: a later cell of the same probe run moves into the
+  // hole when the hole lies between its home and where it sits, so every
+  // lookup still reaches its key without crossing an empty cell.
+  for (std::size_t next = (hole + 1) & mask; cells_[next].node != kNoNode;
+       next = (next + 1) & mask) {
+    const std::size_t home = home_cell(cells_[next].node);
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      cells_[hole] = cells_[next];
+      hole = next;
+    }
+  }
+  cells_[hole] = Cell{};
+}
+
+MulticastTree::Slot MulticastTree::acquire(NodeId n) {
+  Slot s = free_head_;
+  if (s != kNoSlot) {
+    free_head_ = rec(s).next_sibling;
+    rec(s).next_sibling = kNoSlot;
+  } else {
+    s = static_cast<Slot>(records_.size());
+    records_.emplace_back();
+  }
+  index_insert(n, s);  // reads on_tree_count_ before it counts `n`
+  rec(s).node = n;
+  ++on_tree_count_;
+  return s;
+}
+
+void MulticastTree::release(Slot s) {
+  index_erase(rec(s).node);
+  rec(s) = Record{};
+  rec(s).next_sibling = free_head_;
+  free_head_ = s;
+  --on_tree_count_;
+}
+
+void MulticastTree::append_child(Slot parent, Slot child) {
+  Record& p = rec(parent);
+  Record& c = rec(child);
+  c.parent = parent;
+  c.next_sibling = kNoSlot;
+  if (p.first_child == kNoSlot) {
+    p.first_child = child;
+  } else {
+    rec(p.last_child).next_sibling = child;
+  }
+  p.last_child = child;
+}
+
+void MulticastTree::detach_from_parent(Slot child) {
+  Record& c = rec(child);
+  if (c.parent == kNoSlot) return;
+  Record& p = rec(c.parent);
+  Slot prev = kNoSlot;
+  for (Slot cur = p.first_child; cur != kNoSlot;
+       prev = cur, cur = rec(cur).next_sibling) {
+    if (cur != child) continue;
+    if (prev == kNoSlot) {
+      p.first_child = c.next_sibling;
+    } else {
+      rec(prev).next_sibling = c.next_sibling;
+    }
+    if (p.last_child == child) p.last_child = prev;
+    break;
+  }
+  c.next_sibling = kNoSlot;
+  c.parent = kNoSlot;
+  c.parent_link = kNoLink;
 }
 
 int MulticastTree::shr(NodeId n) const {
-  check_node(n);
-  if (role_[static_cast<std::size_t>(n)] == NodeRole::kOffTree) {
+  const Slot s = checked_find(n);
+  if (s == kNoSlot) {
     throw std::invalid_argument("SHR queried for off-tree node");
   }
-  return shr_[static_cast<std::size_t>(n)];
+  return rec(s).shr;
 }
 
 std::vector<NodeId> MulticastTree::members() const {
   std::vector<NodeId> out;
   out.reserve(static_cast<std::size_t>(member_count_));
-  for (NodeId n = 0; n < graph_->node_count(); ++n) {
-    if (is_member(n)) out.push_back(n);
+  for (const Record& r : records_) {
+    if (r.role == NodeRole::kMember) out.push_back(r.node);
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 
 std::vector<NodeId> MulticastTree::on_tree_nodes() const {
   std::vector<NodeId> out;
   out.reserve(static_cast<std::size_t>(on_tree_count_));
-  for (NodeId n = 0; n < graph_->node_count(); ++n) {
-    if (on_tree(n)) out.push_back(n);
+  for (const Record& r : records_) {
+    if (r.node != kNoNode) out.push_back(r.node);
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 
 std::vector<NodeId> MulticastTree::path_to_source(NodeId n) const {
   std::vector<NodeId> out;
-  if (!on_tree(n)) return out;
-  for (NodeId cur = n; cur != kNoNode;
-       cur = parent_[static_cast<std::size_t>(cur)]) {
-    out.push_back(cur);
+  for (Slot s = checked_find(n); s != kNoSlot; s = rec(s).parent) {
+    out.push_back(rec(s).node);
   }
   return out;
 }
 
 double MulticastTree::delay_to_source(NodeId n) const {
-  if (!on_tree(n)) throw std::invalid_argument("off-tree node has no delay");
+  const Slot s = checked_find(n);
+  if (s == kNoSlot) throw std::invalid_argument("off-tree node has no delay");
   double total = 0.0;
-  for (NodeId cur = n; cur != source_;
-       cur = parent_[static_cast<std::size_t>(cur)]) {
-    total += graph_->link(parent_link_[static_cast<std::size_t>(cur)]).weight;
+  for (Slot cur = s; rec(cur).parent != kNoSlot; cur = rec(cur).parent) {
+    total += graph_->link(rec(cur).parent_link).weight;
   }
   return total;
 }
 
 int MulticastTree::hops_to_source(NodeId n) const {
-  if (!on_tree(n)) throw std::invalid_argument("off-tree node has no path");
+  const Slot s = checked_find(n);
+  if (s == kNoSlot) throw std::invalid_argument("off-tree node has no path");
   int hops = 0;
-  for (NodeId cur = n; cur != source_;
-       cur = parent_[static_cast<std::size_t>(cur)]) {
+  for (Slot cur = s; rec(cur).parent != kNoSlot; cur = rec(cur).parent) {
     ++hops;
   }
   return hops;
 }
 
-bool MulticastTree::is_ancestor_or_self(NodeId ancestor, NodeId n) const {
-  if (!on_tree(n) || !on_tree(ancestor)) return false;
-  for (NodeId cur = n; cur != kNoNode;
-       cur = parent_[static_cast<std::size_t>(cur)]) {
+bool MulticastTree::is_ancestor_or_self_slot(Slot ancestor, Slot s) const {
+  for (Slot cur = s; cur != kNoSlot; cur = rec(cur).parent) {
     if (cur == ancestor) return true;
   }
   return false;
 }
 
+bool MulticastTree::is_ancestor_or_self(NodeId ancestor, NodeId n) const {
+  const Slot s = checked_find(n);
+  if (s == kNoSlot) return false;
+  const Slot a = checked_find(ancestor);
+  return a != kNoSlot && is_ancestor_or_self_slot(a, s);
+}
+
 int MulticastTree::shr_excluding_subtree(NodeId merge_candidate,
                                          NodeId member) const {
-  if (!on_tree(merge_candidate)) {
+  const Slot merge = checked_find(merge_candidate);
+  if (merge == kNoSlot) {
     throw std::invalid_argument("merge candidate must be on-tree");
   }
-  const int moving = subtree_members(member);
+  const Slot moved = checked_find(member);
+  const int moving = moved == kNoSlot ? 0 : rec(moved).n_members;
   // Same path-sum bound as recompute_shr: accumulate wide, fail loudly
   // rather than wrap on degenerate deep chains.
   std::int64_t total = 0;
-  for (NodeId cur = merge_candidate; cur != source_;
-       cur = parent_[static_cast<std::size_t>(cur)]) {
-    int contribution = n_members_[static_cast<std::size_t>(cur)];
-    // Nodes that currently serve `member`'s subtree would lose its members
-    // once the subtree moves away; discount them (§3.2.3 adjustment).
-    if (is_ancestor_or_self(cur, member)) contribution -= moving;
-    total += contribution;
+  // Nodes that currently serve `member`'s subtree would lose its members
+  // once the subtree moves away; discount them (§3.2.3 adjustment). Once
+  // the walk reaches one of them, every node above it serves it too.
+  bool serves_member = false;
+  for (Slot cur = merge; rec(cur).parent != kNoSlot; cur = rec(cur).parent) {
+    serves_member = serves_member ||
+                    (moved != kNoSlot && is_ancestor_or_self_slot(cur, moved));
+    total += rec(cur).n_members - (serves_member ? moving : 0);
   }
   if (total > std::numeric_limits<int>::max()) {
     throw std::overflow_error("SHR exceeds int range");
@@ -161,12 +244,17 @@ int MulticastTree::shr_excluding_subtree(NodeId merge_candidate,
 }
 
 std::vector<LinkId> MulticastTree::tree_links() const {
-  std::vector<LinkId> out;
-  for (NodeId n = 0; n < graph_->node_count(); ++n) {
-    if (on_tree(n) && n != source_) {
-      out.push_back(parent_link_[static_cast<std::size_t>(n)]);
+  std::vector<std::pair<NodeId, LinkId>> by_node;
+  by_node.reserve(static_cast<std::size_t>(on_tree_count_));
+  for (const Record& r : records_) {
+    if (r.node != kNoNode && r.node != source_) {
+      by_node.emplace_back(r.node, r.parent_link);
     }
   }
+  std::sort(by_node.begin(), by_node.end());
+  std::vector<LinkId> out;
+  out.reserve(by_node.size());
+  for (const auto& [node, link] : by_node) out.push_back(link);
   return out;
 }
 
@@ -176,46 +264,51 @@ double MulticastTree::total_cost() const {
   return total;
 }
 
-std::vector<char> MulticastTree::surviving_after_link(LinkId failed_link) const {
+MulticastTree::Slot MulticastTree::downstream_of(LinkId link) const {
+  if (link < 0 || link >= graph_->link_count()) return kNoSlot;
+  const net::Link& l = graph_->link(link);
+  for (const NodeId end : {l.a, l.b}) {
+    const Slot s = find(end);
+    if (s != kNoSlot && rec(s).parent_link == link) return s;
+  }
+  return kNoSlot;
+}
+
+std::vector<char> MulticastTree::surviving_except(Slot cut) const {
   std::vector<char> alive(static_cast<std::size_t>(graph_->node_count()), 0);
-  // BFS downward from the source, stopping at the failed link.
-  std::vector<NodeId> stack{source_};
   alive[static_cast<std::size_t>(source_)] = 1;
+  // DFS downward from the source, not entering `cut`.
+  std::vector<Slot> stack;
+  if (const Slot root = source_slot(); root != kNoSlot) stack.push_back(root);
   while (!stack.empty()) {
-    const NodeId n = stack.back();
+    const Slot s = stack.back();
     stack.pop_back();
-    for (const NodeId child : children(n)) {
-      if (parent_link_[static_cast<std::size_t>(child)] == failed_link) {
-        continue;
-      }
-      alive[static_cast<std::size_t>(child)] = 1;
-      stack.push_back(child);
+    for (Slot c = rec(s).first_child; c != kNoSlot; c = rec(c).next_sibling) {
+      if (c == cut) continue;
+      alive[static_cast<std::size_t>(rec(c).node)] = 1;
+      stack.push_back(c);
     }
   }
   return alive;
+}
+
+std::vector<char> MulticastTree::surviving_after_link(LinkId failed_link) const {
+  return surviving_except(downstream_of(failed_link));
 }
 
 std::vector<char> MulticastTree::surviving_after_node(NodeId failed_node) const {
-  std::vector<char> alive(static_cast<std::size_t>(graph_->node_count()), 0);
-  if (failed_node == source_) return alive;  // source loss kills the session
-  std::vector<NodeId> stack{source_};
-  alive[static_cast<std::size_t>(source_)] = 1;
-  while (!stack.empty()) {
-    const NodeId n = stack.back();
-    stack.pop_back();
-    for (const NodeId child : children(n)) {
-      if (child == failed_node) continue;
-      alive[static_cast<std::size_t>(child)] = 1;
-      stack.push_back(child);
-    }
+  if (failed_node == source_) {
+    // Source loss kills the session.
+    return std::vector<char>(static_cast<std::size_t>(graph_->node_count()),
+                             0);
   }
-  return alive;
+  return surviving_except(graph_->valid_node(failed_node) ? find(failed_node)
+                                                          : kNoSlot);
 }
 
-void MulticastTree::add_member_count_upward(NodeId from, int delta) {
-  for (NodeId cur = from; cur != kNoNode;
-       cur = parent_[static_cast<std::size_t>(cur)]) {
-    n_members_[static_cast<std::size_t>(cur)] += delta;
+void MulticastTree::add_member_count_upward(Slot from, int delta) {
+  for (Slot cur = from; cur != kNoSlot; cur = rec(cur).parent) {
+    rec(cur).n_members += delta;
   }
 }
 
@@ -224,20 +317,21 @@ void MulticastTree::recompute_shr() {
   // bounded by depth × members, which can pass 2^31 on a degenerate
   // deep-chain session at 100k-node scale — accumulate wide and refuse to
   // store a wrapped value (int keeps the on-wire/protocol width).
-  shr_[static_cast<std::size_t>(source_)] = 0;
-  std::vector<NodeId> stack{source_};
+  const Slot root = source_slot();
+  if (root == kNoSlot) return;
+  rec(root).shr = 0;
+  std::vector<Slot> stack{root};
   while (!stack.empty()) {
-    const NodeId n = stack.back();
+    const Slot s = stack.back();
     stack.pop_back();
-    for (const NodeId child : children(n)) {
+    for (Slot c = rec(s).first_child; c != kNoSlot; c = rec(c).next_sibling) {
       const std::int64_t wide =
-          static_cast<std::int64_t>(shr_[static_cast<std::size_t>(n)]) +
-          n_members_[static_cast<std::size_t>(child)];
+          static_cast<std::int64_t>(rec(s).shr) + rec(c).n_members;
       if (wide > std::numeric_limits<int>::max()) {
         throw std::overflow_error("SHR exceeds int range");
       }
-      shr_[static_cast<std::size_t>(child)] = static_cast<int>(wide);
-      stack.push_back(child);
+      rec(c).shr = static_cast<int>(wide);
+      stack.push_back(c);
     }
   }
 }
@@ -253,16 +347,14 @@ void MulticastTree::graft(NodeId member, const std::vector<NodeId>& path) {
   if (path.size() == 1) {
     // Member is already an on-tree node (relay or the source); it simply
     // becomes a receiver as well.
-    check_node(member);
+    const Slot s = checked_find(member);
     if (member == source_) {
       throw std::invalid_argument("source cannot join as a member");
     }
-    if (role_[static_cast<std::size_t>(member)] == NodeRole::kMember) {
-      return;  // idempotent
-    }
-    role_[static_cast<std::size_t>(member)] = NodeRole::kMember;
+    if (rec(s).role == NodeRole::kMember) return;  // idempotent
+    rec(s).role = NodeRole::kMember;
     ++member_count_;
-    add_member_count_upward(member, +1);
+    add_member_count_upward(s, +1);
     recompute_shr();
     return;
   }
@@ -281,63 +373,59 @@ void MulticastTree::graft(NodeId member, const std::vector<NodeId>& path) {
       }
     }
   }
-  // Wire up parent pointers from the member toward the merge node.
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const auto node = static_cast<std::size_t>(path[i]);
-    role_[node] = (path[i] == member) ? NodeRole::kMember : NodeRole::kRelay;
-    parent_[node] = path[i + 1];
-    parent_link_[node] = *graph_->link_between(path[i], path[i + 1]);
-    n_members_[node] = 1;  // exactly the new member below (or at) this node
-    append_child(path[i + 1], path[i]);
-    ++on_tree_count_;
+  // Wire up from the merge node down to the member, so each hop's
+  // upstream record exists before the hop links to it. Every new node has
+  // exactly the new member below (or at) it.
+  const Slot merge_slot = find(merge);
+  Slot up = merge_slot;
+  for (std::size_t i = path.size() - 1; i-- > 0;) {
+    const Slot s = acquire(path[i]);
+    Record& r = rec(s);
+    r.role = (path[i] == member) ? NodeRole::kMember : NodeRole::kRelay;
+    r.parent_link = *graph_->link_between(path[i], path[i + 1]);
+    r.n_members = 1;
+    append_child(up, s);
+    up = s;
   }
   ++member_count_;
-  add_member_count_upward(merge, +1);
+  add_member_count_upward(merge_slot, +1);
   recompute_shr();
 }
 
-void MulticastTree::detach_from_parent(NodeId n) {
-  const auto i = static_cast<std::size_t>(n);
-  if (parent_[i] == kNoNode) return;
-  unlink_child(parent_[i], n);
-  parent_[i] = kNoNode;
-  parent_link_[i] = kNoLink;
-}
-
-void MulticastTree::prune_upward_from(NodeId n) {
+void MulticastTree::prune_upward_from(Slot s) {
   // Remove now-useless relays: nodes with no members beneath and no
   // children, walking upward until a still-useful node (or the source).
-  NodeId cur = n;
-  while (cur != source_ && cur != kNoNode) {
-    const auto i = static_cast<std::size_t>(cur);
-    if (n_members_[i] > 0 || first_child_[i] != kNoNode ||
-        role_[i] == NodeRole::kMember) {
+  const Slot root = source_slot();
+  Slot cur = s;
+  while (cur != root && cur != kNoSlot) {
+    const Record& r = rec(cur);
+    if (r.n_members > 0 || r.first_child != kNoSlot ||
+        r.role == NodeRole::kMember) {
       break;
     }
-    const NodeId up = parent_[i];
+    const Slot up = r.parent;
     detach_from_parent(cur);
-    clear_node(cur);
-    --on_tree_count_;
+    release(cur);
     cur = up;
   }
 }
 
 void MulticastTree::leave(NodeId member) {
-  check_node(member);
-  const auto i = static_cast<std::size_t>(member);
-  if (role_[i] != NodeRole::kMember) {
+  const Slot s = checked_find(member);
+  if (s == kNoSlot || rec(s).role != NodeRole::kMember) {
     throw std::invalid_argument("leave() by a non-member");
   }
-  role_[i] = NodeRole::kRelay;
+  rec(s).role = NodeRole::kRelay;
   --member_count_;
-  add_member_count_upward(member, -1);
-  prune_upward_from(member);
+  add_member_count_upward(s, -1);
+  prune_upward_from(s);
   recompute_shr();
 }
 
 void MulticastTree::move_subtree(NodeId node,
                                  const std::vector<NodeId>& path) {
-  if (!on_tree(node) || node == source_) {
+  const Slot moving = checked_find(node);
+  if (moving == kNoSlot || node == source_) {
     throw std::invalid_argument("can only move an on-tree non-source node");
   }
   if (path.empty() || path.front() != node) {
@@ -366,74 +454,73 @@ void MulticastTree::move_subtree(NodeId node,
     }
   }
 
-  const int moving_members = n_members_[static_cast<std::size_t>(node)];
+  const int moving_members = rec(moving).n_members;
 
   // 1. Detach from the old upstream and retire its contribution. Pruning
   //    of the old chain is deferred until the new path is in place (§3.2.3
   //    sets up the new path before releasing the old one) — otherwise an
   //    old-chain ancestor that is also the new merge node could be pruned
   //    out from under the re-attachment.
-  const NodeId old_parent = parent_[static_cast<std::size_t>(node)];
-  add_member_count_upward(node, -moving_members);
-  n_members_[static_cast<std::size_t>(node)] =
-      moving_members;  // restore own count
-  detach_from_parent(node);
+  const Slot old_parent = rec(moving).parent;
+  add_member_count_upward(moving, -moving_members);
+  rec(moving).n_members = moving_members;  // restore own count
+  detach_from_parent(moving);
 
-  // 2. Re-attach along the new path.
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const auto cur = static_cast<std::size_t>(path[i]);
+  // 2. Re-attach along the new path, wired from the merge node down.
+  const Slot merge_slot = find(merge);
+  Slot up = merge_slot;
+  for (std::size_t i = path.size() - 1; i-- > 0;) {
+    Slot s = moving;
     if (i > 0) {
-      role_[cur] = NodeRole::kRelay;
-      ++on_tree_count_;
+      s = acquire(path[i]);
+      rec(s).role = NodeRole::kRelay;
+      rec(s).n_members = moving_members;
     }
-    parent_[cur] = path[i + 1];
-    parent_link_[cur] = *graph_->link_between(path[i], path[i + 1]);
-    if (i > 0) n_members_[cur] = moving_members;
-    append_child(path[i + 1], path[i]);
+    rec(s).parent_link = *graph_->link_between(path[i], path[i + 1]);
+    append_child(up, s);
+    up = s;
   }
-  add_member_count_upward(merge, +moving_members);
+  add_member_count_upward(merge_slot, +moving_members);
 
   // 3. Release the old path.
-  if (old_parent != kNoNode) prune_upward_from(old_parent);
+  if (old_parent != kNoSlot) prune_upward_from(old_parent);
   recompute_shr();
+}
+
+void MulticastTree::drop_subtree(Slot root, NodeId skip,
+                                 std::vector<NodeId>& lost) {
+  std::vector<Slot> stack{root};
+  while (!stack.empty()) {
+    const Slot s = stack.back();
+    stack.pop_back();
+    const Record& r = rec(s);
+    if (r.role == NodeRole::kMember) {
+      if (r.node != skip) lost.push_back(r.node);
+      --member_count_;
+    }
+    for (Slot c = r.first_child; c != kNoSlot; c = rec(c).next_sibling) {
+      stack.push_back(c);
+    }
+    release(s);  // off-tree, no parent, no children
+  }
 }
 
 std::vector<NodeId> MulticastTree::sever(LinkId failed_link) {
   std::vector<NodeId> lost_members;
-  // Locate the downstream endpoint: the on-tree node whose parent link is
-  // the failed one.
-  NodeId downstream = kNoNode;
-  for (NodeId n = 0; n < graph_->node_count(); ++n) {
-    if (on_tree(n) &&
-        parent_link_[static_cast<std::size_t>(n)] == failed_link) {
-      downstream = n;
-      break;
-    }
-  }
-  if (downstream == kNoNode) return lost_members;
+  // The downstream endpoint is the one whose parent link failed.
+  const Slot downstream = downstream_of(failed_link);
+  if (downstream == kNoSlot) return lost_members;
 
-  const NodeId upstream = parent_[static_cast<std::size_t>(downstream)];
-  const int dropped_members =
-      n_members_[static_cast<std::size_t>(downstream)];
+  const Slot upstream = rec(downstream).parent;
+  const int dropped_members = rec(downstream).n_members;
 
-  // Collect and clear the disconnected component (subtree of `downstream`).
-  std::vector<NodeId> stack{downstream};
+  // Clear the disconnected component (subtree of `downstream`).
   detach_from_parent(downstream);
-  while (!stack.empty()) {
-    const NodeId n = stack.back();
-    stack.pop_back();
-    if (role_[static_cast<std::size_t>(n)] == NodeRole::kMember) {
-      lost_members.push_back(n);
-      --member_count_;
-    }
-    for (const NodeId child : children(n)) stack.push_back(child);
-    clear_node(n);  // off-tree, no parent, no children
-    --on_tree_count_;
-  }
+  drop_subtree(downstream, kNoNode, lost_members);
 
   // Retire the dropped members' contribution upstream, prune any relay
   // chain left dangling, and refresh SHR.
-  if (upstream != kNoNode) {
+  if (upstream != kNoSlot) {
     add_member_count_upward(upstream, -dropped_members);
     prune_upward_from(upstream);
   }
@@ -444,28 +531,17 @@ std::vector<NodeId> MulticastTree::sever(LinkId failed_link) {
 
 std::vector<NodeId> MulticastTree::sever_node(NodeId failed_node) {
   std::vector<NodeId> lost_members;
-  if (!on_tree(failed_node)) return lost_members;
+  const Slot dead = checked_find(failed_node);
+  if (dead == kNoSlot) return lost_members;
 
-  const NodeId upstream = parent_[static_cast<std::size_t>(failed_node)];
-  const int dropped_members =
-      n_members_[static_cast<std::size_t>(failed_node)];
+  const Slot upstream = rec(dead).parent;
+  const int dropped_members = rec(dead).n_members;
 
-  std::vector<NodeId> stack{failed_node};
-  detach_from_parent(failed_node);
-  while (!stack.empty()) {
-    const NodeId n = stack.back();
-    stack.pop_back();
-    if (role_[static_cast<std::size_t>(n)] == NodeRole::kMember) {
-      if (n != failed_node) lost_members.push_back(n);
-      --member_count_;
-    }
-    for (const NodeId child : children(n)) stack.push_back(child);
-    clear_node(n);
-    --on_tree_count_;
-  }
+  detach_from_parent(dead);
+  drop_subtree(dead, failed_node, lost_members);
 
   if (failed_node == source_) return lost_members;  // session is gone
-  if (upstream != kNoNode) {
+  if (upstream != kNoSlot) {
     add_member_count_upward(upstream, -dropped_members);
     prune_upward_from(upstream);
   }
@@ -475,87 +551,149 @@ std::vector<NodeId> MulticastTree::sever_node(NodeId failed_node) {
 }
 
 void MulticastTree::validate() const {
-  const int n_nodes = graph_->node_count();
-  int members_seen = 0;
-  int on_tree_seen = 0;
+  const auto n_records = records_.size();
+  const auto slot_ok = [&](Slot s) {
+    return s >= 0 && static_cast<std::size_t>(s) < n_records;
+  };
 
-  // Reachability from the source via children links, plus structural
-  // soundness of the intrusive sibling encoding.
-  std::vector<char> reached(static_cast<std::size_t>(n_nodes), 0);
-  std::vector<NodeId> stack{source_};
-  reached[static_cast<std::size_t>(source_)] = 1;
-  while (!stack.empty()) {
-    const NodeId n = stack.back();
-    stack.pop_back();
-    NodeId last_seen = kNoNode;
-    for (const NodeId child : children(n)) {
-      last_seen = child;
-      if (parent_[static_cast<std::size_t>(child)] != n) {
-        throw std::logic_error("child/parent pointer mismatch");
-      }
-      const LinkId link = parent_link_[static_cast<std::size_t>(child)];
-      const auto expect = graph_->link_between(child, n);
-      if (!expect || *expect != link) {
-        throw std::logic_error("parent_link does not match the graph");
-      }
-      if (reached[static_cast<std::size_t>(child)]) {
-        throw std::logic_error("cycle or duplicate child in tree");
-      }
-      reached[static_cast<std::size_t>(child)] = 1;
-      stack.push_back(child);
+  // The index: a power-of-two table at most half full (so every probe
+  // ends at an empty cell), each filled cell naming a live record of its
+  // own node.
+  std::size_t filled = 0;
+  for (const Cell& cell : cells_) {
+    if (cell.node == kNoNode) {
+      if (cell.slot != kNoSlot) throw std::logic_error("empty cell has a slot");
+      continue;
     }
-    if (last_child_[static_cast<std::size_t>(n)] != last_seen) {
-      throw std::logic_error("last_child out of sync with sibling chain");
+    ++filled;
+    if (!slot_ok(cell.slot) || rec(cell.slot).node != cell.node) {
+      throw std::logic_error(
+          "index cell does not name a live record of its node");
     }
   }
+  if (cells_.empty() || (cells_.size() & (cells_.size() - 1)) != 0 ||
+      2 * filled > cells_.size()) {
+    throw std::logic_error("index is not a half-empty power-of-two table");
+  }
 
-  // Per-node recomputation of N_R from scratch.
-  std::vector<int> derived_members(static_cast<std::size_t>(n_nodes), 0);
-  // Post-order accumulation: iterate nodes, push each member/leaf count up.
-  for (NodeId n = 0; n < n_nodes; ++n) {
-    const auto i = static_cast<std::size_t>(n);
-    if (role_[i] == NodeRole::kOffTree) {
-      if (parent_[i] != kNoNode || first_child_[i] != kNoNode ||
-          n_members_[i] != 0) {
-        throw std::logic_error("off-tree node carries tree state");
+  // Records: every live one indexed exactly once, at its own slot; free
+  // ones carry no state and all sit on the free list.
+  std::size_t live = 0;
+  for (std::size_t i = 0; i < n_records; ++i) {
+    const Record& r = records_[i];
+    if (r.node == kNoNode) {
+      if (r.role != NodeRole::kOffTree || r.parent != kNoSlot ||
+          r.parent_link != kNoLink || r.n_members != 0 || r.shr != 0 ||
+          r.first_child != kNoSlot || r.last_child != kNoSlot) {
+        throw std::logic_error("free record carries tree state");
       }
       continue;
     }
-    ++on_tree_seen;
+    ++live;
+    if (!graph_->valid_node(r.node)) {
+      throw std::logic_error("record for a node outside the graph");
+    }
+    if (r.role == NodeRole::kOffTree) {
+      throw std::logic_error("live record has the off-tree role");
+    }
+    if (find(r.node) != static_cast<Slot>(i)) {
+      throw std::logic_error("live record is not indexed at its slot");
+    }
+  }
+  if (filled != live) {
+    throw std::logic_error("index and records disagree on the node count");
+  }
+  if (live != static_cast<std::size_t>(on_tree_count_)) {
+    throw std::logic_error("on_tree_count_ out of sync");
+  }
+  std::size_t free_seen = 0;
+  for (Slot s = free_head_; s != kNoSlot; s = rec(s).next_sibling) {
+    if (!slot_ok(s) || rec(s).node != kNoNode ||
+        ++free_seen > n_records - live) {
+      throw std::logic_error("free list reaches a live or foreign record");
+    }
+  }
+  if (free_seen != n_records - live) {
+    throw std::logic_error("free list misses a free record");
+  }
+
+  // Reachability from the source via children links, plus structural
+  // soundness of the intrusive sibling encoding.
+  std::vector<char> reached(n_records, 0);
+  const Slot root = source_slot();
+  if (root != kNoSlot) {
+    if (rec(root).parent != kNoSlot || rec(root).parent_link != kNoLink ||
+        rec(root).role != NodeRole::kRelay) {
+      throw std::logic_error("source is not a parentless relay");
+    }
+    reached[static_cast<std::size_t>(root)] = 1;
+    std::vector<Slot> stack{root};
+    while (!stack.empty()) {
+      const Slot s = stack.back();
+      stack.pop_back();
+      Slot last_seen = kNoSlot;
+      for (Slot c = rec(s).first_child; c != kNoSlot;
+           c = rec(c).next_sibling) {
+        if (!slot_ok(c) || rec(c).node == kNoNode) {
+          throw std::logic_error("child link to a free record");
+        }
+        last_seen = c;
+        if (rec(c).parent != s) {
+          throw std::logic_error("child/parent pointer mismatch");
+        }
+        const auto expect = graph_->link_between(rec(c).node, rec(s).node);
+        if (!expect || *expect != rec(c).parent_link) {
+          throw std::logic_error("parent_link does not match the graph");
+        }
+        if (reached[static_cast<std::size_t>(c)]) {
+          throw std::logic_error("cycle or duplicate child in tree");
+        }
+        reached[static_cast<std::size_t>(c)] = 1;
+        stack.push_back(c);
+      }
+      if (rec(s).last_child != last_seen) {
+        throw std::logic_error("last_child out of sync with sibling chain");
+      }
+    }
+  }
+
+  // Per-node recomputation of N_R from scratch: push each member up its
+  // path.
+  std::vector<int> derived_members(n_records, 0);
+  int members_seen = 0;
+  for (std::size_t i = 0; i < n_records; ++i) {
+    const Record& r = records_[i];
+    if (r.node == kNoNode) continue;
     if (!reached[i]) {
       throw std::logic_error("on-tree node unreachable from source");
     }
-    if (role_[i] == NodeRole::kMember) {
+    if (r.role == NodeRole::kMember) {
       ++members_seen;
-      for (NodeId cur = n; cur != kNoNode;
-           cur = parent_[static_cast<std::size_t>(cur)]) {
+      for (Slot cur = static_cast<Slot>(i); cur != kNoSlot;
+           cur = rec(cur).parent) {
         ++derived_members[static_cast<std::size_t>(cur)];
       }
     }
-    if (n != source_ && role_[i] == NodeRole::kRelay &&
-        first_child_[i] == kNoNode) {
+    if (static_cast<Slot>(i) != root && r.role == NodeRole::kRelay &&
+        r.first_child == kNoSlot) {
       throw std::logic_error("useless leaf relay was not pruned");
     }
   }
   if (members_seen != member_count_) {
     throw std::logic_error("member_count_ out of sync");
   }
-  if (on_tree_seen != on_tree_count_) {
-    throw std::logic_error("on_tree_count_ out of sync");
-  }
-  for (NodeId n = 0; n < n_nodes; ++n) {
-    const auto i = static_cast<std::size_t>(n);
-    if (role_[i] == NodeRole::kOffTree) continue;
-    if (n_members_[i] != derived_members[i]) {
+  for (std::size_t i = 0; i < n_records; ++i) {
+    const Record& r = records_[i];
+    if (r.node == kNoNode) continue;
+    if (r.n_members != derived_members[i]) {
       throw std::logic_error("N_R out of sync with membership");
     }
     // SHR via Eq. 1 directly: sum of N over path nodes except the source.
     int direct = 0;
-    for (NodeId cur = n; cur != source_;
-         cur = parent_[static_cast<std::size_t>(cur)]) {
+    for (Slot cur = static_cast<Slot>(i); cur != root; cur = rec(cur).parent) {
       direct += derived_members[static_cast<std::size_t>(cur)];
     }
-    if (shr_[i] != direct) {
+    if (r.shr != direct) {
       throw std::logic_error("SHR out of sync with Eq. 1");
     }
   }

@@ -9,16 +9,22 @@
 // upstream), Eq. 2 is equivalent to the link-sum definition of Eq. 1; the
 // test suite checks that equivalence as an invariant.
 //
-// Storage is struct-of-arrays (DESIGN.md §14): one flat array per field
-// instead of one NodeState struct per node, with the child lists encoded
-// intrusively as first-child/next-sibling chains inside two more arrays.
-// A session costs eight flat allocations total — no per-node child
-// vectors — which is what lets thousands of concurrent sessions share one
-// topology without a per-session allocation storm. Child iteration order
-// is append order (and detachment preserves it), exactly the order the
-// legacy per-node vectors produced; the differential suite pins that.
+// Storage is sparse (DESIGN.md §14): like the paper's routers, the tree
+// keeps state for on-tree nodes only, so a session costs O(tree) memory
+// however large the graph is. Each on-tree node owns one Record in a
+// single vector (freed records are chained on a free list and reused);
+// parent and child links are slot indices into that vector, with the
+// child lists encoded intrusively as first-child/next-sibling chains. An
+// open-addressing node→slot index (linear probing, backward-shift
+// deletion) answers the public by-NodeId queries; internal walks follow
+// slot links and never hash. Off-tree nodes simply have no record and
+// read as the defaults: kOffTree, kNoNode, kNoLink, 0, no children.
+// Child iteration order is append order (and detachment preserves it),
+// and members()/on_tree_nodes()/tree_links() are ascending by node id;
+// the differential suite pins both.
 #pragma once
 
+#include <cstdint>
 #include <iterator>
 #include <vector>
 
@@ -45,9 +51,34 @@ enum class NodeRole : unsigned char {
 /// consistent incrementally; `validate()` re-derives everything from first
 /// principles and throws on any mismatch, which the property tests exploit.
 class MulticastTree {
+  using Slot = std::int32_t;
+  static constexpr Slot kNoSlot = -1;
+
+  /// Per-on-tree-node state. `node == kNoNode` marks a free record, whose
+  /// `next_sibling` then links the free list.
+  struct Record {
+    NodeId node = kNoNode;
+    LinkId parent_link = kNoLink;
+    int n_members = 0;  ///< N_R
+    int shr = 0;        ///< SHR(S,R)
+    Slot parent = kNoSlot;
+    Slot first_child = kNoSlot;
+    Slot last_child = kNoSlot;  ///< O(1) append at the tail
+    Slot next_sibling = kNoSlot;
+    NodeRole role = NodeRole::kOffTree;
+  };
+
+  /// One node→slot index cell; `node == kNoNode` marks an empty cell.
+  struct Cell {
+    NodeId node = kNoNode;
+    Slot slot = kNoSlot;
+  };
+
  public:
   /// Lightweight forward range over one node's children (no allocation):
-  /// walks the intrusive next-sibling chain in append order.
+  /// walks the intrusive next-sibling chain in append order. It refers to
+  /// the tree's record vector, not its storage, so it stays valid while
+  /// the tree grows.
   class ChildRange {
    public:
     class iterator {
@@ -59,12 +90,14 @@ class MulticastTree {
       using reference = NodeId;
 
       iterator() = default;
-      iterator(const std::vector<NodeId>* next_sibling, NodeId at) noexcept
-          : next_sibling_(next_sibling), at_(at) {}
+      iterator(const std::vector<Record>* records, Slot at) noexcept
+          : records_(records), at_(at) {}
 
-      [[nodiscard]] NodeId operator*() const noexcept { return at_; }
+      [[nodiscard]] NodeId operator*() const noexcept {
+        return (*records_)[static_cast<std::size_t>(at_)].node;
+      }
       iterator& operator++() noexcept {
-        at_ = (*next_sibling_)[static_cast<std::size_t>(at_)];
+        at_ = (*records_)[static_cast<std::size_t>(at_)].next_sibling;
         return *this;
       }
       iterator operator++(int) noexcept {
@@ -80,20 +113,16 @@ class MulticastTree {
       }
 
      private:
-      const std::vector<NodeId>* next_sibling_ = nullptr;
-      NodeId at_ = kNoNode;
+      const std::vector<Record>* records_ = nullptr;
+      Slot at_ = kNoSlot;
     };
 
-    ChildRange(const std::vector<NodeId>* next_sibling, NodeId first) noexcept
-        : next_sibling_(next_sibling), first_(first) {}
+    ChildRange(const std::vector<Record>* records, Slot first) noexcept
+        : records_(records), first_(first) {}
 
-    [[nodiscard]] iterator begin() const noexcept {
-      return {next_sibling_, first_};
-    }
-    [[nodiscard]] iterator end() const noexcept {
-      return {next_sibling_, kNoNode};
-    }
-    [[nodiscard]] bool empty() const noexcept { return first_ == kNoNode; }
+    [[nodiscard]] iterator begin() const noexcept { return {records_, first_}; }
+    [[nodiscard]] iterator end() const noexcept { return {records_, kNoSlot}; }
+    [[nodiscard]] bool empty() const noexcept { return first_ == kNoSlot; }
     /// O(children) chain walk.
     [[nodiscard]] std::size_t size() const noexcept {
       std::size_t n = 0;
@@ -109,8 +138,8 @@ class MulticastTree {
     }
 
    private:
-    const std::vector<NodeId>* next_sibling_;
-    NodeId first_;
+    const std::vector<Record>* records_;
+    Slot first_;
   };
 
   MulticastTree(const Graph& graph, NodeId source);
@@ -127,29 +156,30 @@ class MulticastTree {
     return role(n) == NodeRole::kMember;
   }
   [[nodiscard]] NodeRole role(NodeId n) const {
-    check_node(n);
-    return role_[static_cast<std::size_t>(n)];
+    const Slot s = checked_find(n);
+    return s == kNoSlot ? NodeRole::kOffTree : rec(s).role;
   }
 
   /// Upstream (toward-source) neighbor; kNoNode for the source / off-tree.
   [[nodiscard]] NodeId parent(NodeId n) const {
-    check_node(n);
-    return parent_[static_cast<std::size_t>(n)];
+    const Slot s = checked_find(n);
+    if (s == kNoSlot || rec(s).parent == kNoSlot) return kNoNode;
+    return rec(rec(s).parent).node;
   }
   [[nodiscard]] LinkId parent_link(NodeId n) const {
-    check_node(n);
-    return parent_link_[static_cast<std::size_t>(n)];
+    const Slot s = checked_find(n);
+    return s == kNoSlot ? kNoLink : rec(s).parent_link;
   }
   [[nodiscard]] ChildRange children(NodeId n) const {
-    check_node(n);
-    return {&next_sibling_, first_child_[static_cast<std::size_t>(n)]};
+    const Slot s = checked_find(n);
+    return {&records_, s == kNoSlot ? kNoSlot : rec(s).first_child};
   }
 
   /// N_R: members in the subtree rooted at `n` (counting `n` itself if it
   /// is a member). 0 for off-tree nodes.
   [[nodiscard]] int subtree_members(NodeId n) const {
-    check_node(n);
-    return n_members_[static_cast<std::size_t>(n)];
+    const Slot s = checked_find(n);
+    return s == kNoSlot ? 0 : rec(s).n_members;
   }
 
   /// SHR(S,R) per Eq. 2. 0 for the source; throws for off-tree nodes.
@@ -180,7 +210,8 @@ class MulticastTree {
   /// True iff `ancestor` lies on `n`'s path to the source (or equals `n`).
   [[nodiscard]] bool is_ancestor_or_self(NodeId ancestor, NodeId n) const;
 
-  /// Links currently carrying the session.
+  /// Links currently carrying the session, ordered by their downstream
+  /// node's id.
   [[nodiscard]] std::vector<LinkId> tree_links() const;
 
   /// Total tree cost: Σ link weights over tree links (paper's Cost_T).
@@ -215,7 +246,7 @@ class MulticastTree {
   /// `failed_link` from the tree (its nodes become off-tree; in the real
   /// protocol their soft state times out). Returns the members that lost
   /// service, ascending by id. No-op (empty result) if the link is not a
-  /// tree link.
+  /// tree link — kNoLink and ids outside the graph included.
   std::vector<NodeId> sever(LinkId failed_link);
 
   /// Same for an incapacitated node: the node and its whole subtree leave
@@ -224,39 +255,67 @@ class MulticastTree {
   /// nodes; severing the source clears the entire session.
   std::vector<NodeId> sever_node(NodeId failed_node);
 
-  /// Full invariant re-derivation; throws std::logic_error on any breakage.
+  /// Full invariant re-derivation, the node→slot index included; throws
+  /// std::logic_error on any breakage.
   void validate() const;
 
  private:
-  void check_node(NodeId n) const;
+  [[nodiscard]] const Record& rec(Slot s) const noexcept {
+    return records_[static_cast<std::size_t>(s)];
+  }
+  [[nodiscard]] Record& rec(Slot s) noexcept {
+    return records_[static_cast<std::size_t>(s)];
+  }
 
-  /// Append `child` at the tail of `parent`'s intrusive child list —
-  /// the same position legacy push_back gave it.
-  void append_child(NodeId parent, NodeId child);
-  /// Unlink `child` from `parent`'s list, preserving sibling order.
-  void unlink_child(NodeId parent, NodeId child);
-  /// Reset every per-node field of `n` to the off-tree default.
-  void clear_node(NodeId n);
+  /// The slot of on-tree node `n`, or kNoSlot; throws for bad ids.
+  [[nodiscard]] Slot checked_find(NodeId n) const;
+  /// The slot of `n` (a valid id), or kNoSlot if it is off-tree.
+  [[nodiscard]] Slot find(NodeId n) const noexcept;
+  /// The source's slot, or kNoSlot once severing the source ended the
+  /// session.
+  [[nodiscard]] Slot source_slot() const noexcept;
+  [[nodiscard]] std::size_t home_cell(NodeId n) const noexcept;
 
-  void add_member_count_upward(NodeId from, int delta);
-  void prune_upward_from(NodeId n);
-  void detach_from_parent(NodeId n);
+  /// A fresh record for off-tree node `n` (from the free list if it has
+  /// one), indexed and counted on-tree, every other field at its default.
+  Slot acquire(NodeId n);
+  /// Un-index `s`, uncount it and return it to the free list with no state.
+  void release(Slot s);
+  /// Index `n` at `s`, doubling the table first if it would pass half full.
+  void index_insert(NodeId n, Slot s);
+  /// Linear-probe `cell` into the first empty cell from its home.
+  void index_place(Cell cell);
+  void index_erase(NodeId n);
+
+  /// Append `child` at the tail of `parent`'s intrusive child list and
+  /// make `parent` its parent.
+  void append_child(Slot parent, Slot child);
+  /// Unlink `child` from its parent's list (sibling order preserved) and
+  /// clear its parent link.
+  void detach_from_parent(Slot child);
+
+  void add_member_count_upward(Slot from, int delta);
+  void prune_upward_from(Slot s);
+  [[nodiscard]] bool is_ancestor_or_self_slot(Slot ancestor, Slot s) const;
   void recompute_shr();
+  /// Drop the subtree rooted at `root` (already detached): every record is
+  /// released; members are appended to `lost` unless they equal `skip`.
+  void drop_subtree(Slot root, NodeId skip, std::vector<NodeId>& lost);
+  /// The on-tree endpoint of `link` whose parent link it is, or kNoSlot.
+  [[nodiscard]] Slot downstream_of(LinkId link) const;
+  /// Survival flags when the subtree rooted at `cut` (if any) is lost.
+  [[nodiscard]] std::vector<char> surviving_except(Slot cut) const;
 
   const Graph* graph_;
   NodeId source_;
   int member_count_ = 0;
   int on_tree_count_ = 0;
 
-  // Struct-of-arrays node state, all sized to graph_->node_count().
-  std::vector<NodeRole> role_;
-  std::vector<NodeId> parent_;
-  std::vector<LinkId> parent_link_;
-  std::vector<int> n_members_;  ///< N_R
-  std::vector<int> shr_;        ///< SHR(S,R)
-  std::vector<NodeId> first_child_;
-  std::vector<NodeId> last_child_;   ///< O(1) append at the tail
-  std::vector<NodeId> next_sibling_;
+  std::vector<Record> records_;
+  Slot free_head_ = kNoSlot;
+  /// Power-of-two node→slot table holding on_tree_count_ cells, at most
+  /// half full.
+  std::vector<Cell> cells_;
 };
 
 }  // namespace smrp::mcast

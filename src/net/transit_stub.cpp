@@ -55,7 +55,6 @@ TransitStubTopology generate_transit_stub(const TransitStubParams& p,
   core_params.weight_mode = p.weight_mode;
   Graph core = waxman_graph(core_params, rng);
 
-  const int stub_count = static_cast<int>(stub_count_wide);
   const int total_nodes = static_cast<int>(total_nodes_wide);
   topo.graph = Graph(total_nodes);
   std::vector<Point> positions;

@@ -10,10 +10,13 @@
 // and lookup is a binary search that in practice beats pointer chasing
 // at these sizes.
 //
-// Deliberately a subset of the std::map interface — just what the agents
-// and their tests use. Pointer/iterator stability across mutation is NOT
-// provided (vector semantics); no current caller holds references across
-// a mutation.
+// SmrpTreeBuilder keys its per-member SHR baselines the same way: one
+// entry per member instead of one int per graph node.
+//
+// Deliberately a subset of the std::map interface — just what the agents,
+// the tree builder and their tests use. Pointer/iterator stability across
+// mutation is NOT provided (vector semantics); no current caller holds
+// references across a mutation.
 #pragma once
 
 #include <algorithm>

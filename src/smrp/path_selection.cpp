@@ -16,8 +16,8 @@ constexpr char kMergeNode = 1;
 constexpr char kMovingSubtree = 2;
 
 /// Nodes of the subtree rooted at `root` (none if `root` is off-tree),
-/// breadth-first: O(subtree), unlike MulticastTree::on_tree_nodes()'s
-/// scan over the whole graph.
+/// breadth-first: O(subtree), without the sort by id that
+/// MulticastTree::on_tree_nodes() does.
 std::vector<NodeId> subtree_nodes(const MulticastTree& tree, NodeId root,
                                   std::size_t reserve) {
   std::vector<NodeId> out;

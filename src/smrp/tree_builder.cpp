@@ -25,8 +25,7 @@ SmrpTreeBuilder::SmrpTreeBuilder(const Graph& g, NodeId source,
                         : nullptr),
       oracle_(oracle != nullptr ? oracle : owned_oracle_.get()),
       spf_from_source_(oracle_->spf(source)),
-      spf_version_(g.topology_version()),
-      shr_baseline_(static_cast<std::size_t>(g.node_count()), -1) {}
+      spf_version_(g.topology_version()) {}
 
 double SmrpTreeBuilder::spf_delay(NodeId n) const {
   if (!g_->valid_node(n)) throw std::out_of_range("bad node");
@@ -39,7 +38,7 @@ const net::ShortestPathTree* SmrpTreeBuilder::bounding_spf() const noexcept {
 }
 
 void SmrpTreeBuilder::record_baseline(NodeId member) {
-  shr_baseline_[static_cast<std::size_t>(member)] = tree_.shr(member);
+  shr_baseline_[member] = tree_.shr(member);
 }
 
 JoinOutcome SmrpTreeBuilder::join(NodeId member) {
@@ -103,7 +102,7 @@ JoinOutcome SmrpTreeBuilder::join_along(NodeId member,
 
 void SmrpTreeBuilder::leave(NodeId member) {
   tree_.leave(member);
-  shr_baseline_[static_cast<std::size_t>(member)] = -1;
+  shr_baseline_.erase(member);
 }
 
 bool SmrpTreeBuilder::try_reshape(NodeId member) {
@@ -154,9 +153,11 @@ int SmrpTreeBuilder::condition_one_sweep() {
   while (progressed && switches < config_.max_reshapes_per_event) {
     progressed = false;
     for (const NodeId member : tree_.members()) {
-      const int baseline = shr_baseline_[static_cast<std::size_t>(member)];
-      if (baseline < 0) continue;
-      if (tree_.shr(member) - baseline < config_.reshape_shr_delta) continue;
+      const auto baseline = shr_baseline_.find(member);
+      if (baseline == shr_baseline_.end()) continue;
+      if (tree_.shr(member) - baseline->second < config_.reshape_shr_delta) {
+        continue;
+      }
       if (try_reshape(member)) {
         ++switches;
         progressed = true;

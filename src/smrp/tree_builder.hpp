@@ -16,6 +16,7 @@
 #include "net/routing_oracle.hpp"
 #include "net/shortest_path.hpp"
 #include "smrp/config.hpp"
+#include "smrp/flat_map.hpp"
 #include "smrp/path_selection.hpp"
 
 namespace smrp::proto {
@@ -112,8 +113,9 @@ class SmrpTreeBuilder {
   net::RoutingOracle* oracle_;
   net::RoutingOracle::TreePtr spf_from_source_;
   std::uint64_t spf_version_;  ///< topology version spf_from_source_ is for
-  /// SHR(S,R) observed at R's last join/reshape (Condition I reference).
-  std::vector<int> shr_baseline_;
+  /// SHR(S,R) observed at member R's last join/reshape (Condition I
+  /// reference), kept for members only: no key means no baseline.
+  FlatMap<NodeId, int> shr_baseline_;
   int fallback_joins_ = 0;
   int reshape_count_ = 0;
 };

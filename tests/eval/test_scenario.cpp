@@ -110,7 +110,9 @@ TEST(Scenario, NodeFailureModelRuns) {
   // Some members may be their own worst-case node (invalid); the rest
   // must produce positive recovery distances.
   for (const MemberComparison& m : r.members) {
-    if (m.valid) EXPECT_GT(m.rd_spf, 0.0);
+    if (m.valid) {
+      EXPECT_GT(m.rd_spf, 0.0);
+    }
   }
 }
 

@@ -1,9 +1,10 @@
 // The retired per-node-struct MulticastTree, kept verbatim as the
-// reference model for the SoA differential suite (DESIGN.md §14). This is
-// the exact pre-refactor implementation — NodeState structs with one
-// std::vector<NodeId> child list per node — so any divergence between it
-// and the production struct-of-arrays tree under the same operation
-// sequence is a refactor bug by definition.
+// reference model for the tree differential suite (DESIGN.md §14). This
+// is the original dense implementation — one NodeState struct per graph
+// node, each with its own std::vector<NodeId> child list — so any
+// divergence between it and the production sparse tree (on-tree records
+// behind a node→slot index) under the same operation sequence is a
+// production bug by definition.
 //
 // Test-only: never link this into production code.
 #pragma once

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "multicast/tree_equality.hpp"
 #include "net/rng.hpp"
 #include "net/shortest_path.hpp"
 #include "net/waxman.hpp"
@@ -240,12 +241,19 @@ TEST(MulticastTree, SeverOfLeafLinkDropsOneMember) {
   EXPECT_EQ(tree.shr(fig.C), 2);  // D's contribution is gone
 }
 
+// The source's parent link is kNoLink, and ids outside the graph name no
+// link at all: like an unused link, none of them may cut anything.
 TEST(MulticastTree, SeverOfNonTreeLinkIsNoOp) {
   const Fig1Topology fig;
   MulticastTree tree = fig1_tree(fig);
-  EXPECT_TRUE(tree.sever(fig.BD).empty());
-  tree.validate();
-  EXPECT_EQ(tree.member_count(), 2);
+  const MulticastTree before = tree;
+  for (const net::LinkId link : {fig.BD, net::kNoLink, fig.graph.link_count(),
+                                 fig.graph.link_count() + 5}) {
+    EXPECT_TRUE(tree.sever(link).empty()) << "link " << link;
+    EXPECT_NO_THROW(tree.validate()) << "link " << link;
+    EXPECT_EQ(tree.member_count(), 2) << "link " << link;
+    testing::expect_same_tree(tree, before);
+  }
 }
 
 TEST(MulticastTree, SurvivingAfterLink) {

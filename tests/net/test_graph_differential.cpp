@@ -204,11 +204,11 @@ TEST(GraphComponents, ReachableCountReturnsTheCount) {
 TEST(GraphComponents, ReachableCountValidatesItsArguments) {
   Graph g(2);
   g.add_link(0, 1, 1.0);
-  EXPECT_THROW(g.reachable_count_from(-1), std::out_of_range);
-  EXPECT_THROW(g.reachable_count_from(2), std::out_of_range);
-  EXPECT_THROW(g.reachable_count_from(0, 5), std::invalid_argument);
+  EXPECT_THROW((void)g.reachable_count_from(-1), std::out_of_range);
+  EXPECT_THROW((void)g.reachable_count_from(2), std::out_of_range);
+  EXPECT_THROW((void)g.reachable_count_from(0, 5), std::invalid_argument);
   Graph empty;
-  EXPECT_THROW(empty.reachable_count_from(0), std::out_of_range);
+  EXPECT_THROW((void)empty.reachable_count_from(0), std::out_of_range);
 }
 
 TEST(GraphComponents, ComponentCountMachinery) {

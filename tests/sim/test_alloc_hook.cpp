@@ -5,6 +5,8 @@
 // pools have warmed up:
 //   - schedule/cancel/fire timer churn (slab + freelist + 64B SBO actions)
 //   - SimNetwork DataMsg dispatch and broadcast (pooled envelopes)
+// Its byte counter also guards the multicast tree's footprint: a session
+// allocates for its tree, not for the graph under it.
 // Under ASan/TSan the allocator is the sanitizer's, so the raw counter
 // assertions are skipped there and the pool-stats invariants (no slab
 // growth, no SBO overflow) carry the test instead.
@@ -13,7 +15,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
+#include "multicast/tree.hpp"
 #include "sim/network.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
@@ -33,12 +37,14 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 }  // namespace
 
 #if SMRP_ALLOC_HOOK_ACTIVE
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -47,6 +53,7 @@ void* operator new[](std::size_t size) { return ::operator new(size); }
 
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   return std::malloc(size ? size : 1);
 }
 
@@ -54,15 +61,20 @@ void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
   return ::operator new(size, tag);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Out of line, so a new-expression's cleanup path pairs the counting
+// operator new with operator delete, not with the free() inside it (GCC's
+// -Wmismatched-new-delete would flag the latter).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept {
+  ::operator delete(p);
+}
 void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  ::operator delete(p);
 }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  ::operator delete(p);
 }
 
 #endif  // SMRP_ALLOC_HOOK_ACTIVE
@@ -72,6 +84,10 @@ namespace {
 
 std::uint64_t allocation_count() {
   return g_allocations.load(std::memory_order_relaxed);
+}
+
+std::uint64_t allocated_bytes() {
+  return g_allocated_bytes.load(std::memory_order_relaxed);
 }
 
 TEST(AllocHook, SteadyStateTimerChurnAllocatesNothing) {
@@ -210,6 +226,41 @@ TEST(AllocHook, ShardedPoolStatsSumAndSteadyState) {
       << "a sharded dispatch closure overflowed the 64B SBO";
 #if SMRP_ALLOC_HOOK_ACTIVE
   EXPECT_EQ(after - before, 0u) << "sharded steady state allocated";
+#else
+  (void)before;
+  (void)after;
+#endif
+}
+
+TEST(AllocHook, SessionTreeAllocatesForItsTreeNotTheGraph) {
+  // A 1,000,000-node graph with one 10-hop chain from the source. The
+  // graph's own storage (and its lazy adjacency build) is paid before the
+  // measured window; inside it, a session tree and a 10-hop graft must
+  // cost a few records and index cells, not per-graph-node arrays
+  // (≈29 MB at this size).
+  constexpr NodeId kNodes = 1'000'000;
+  constexpr NodeId kHops = 10;
+  net::Graph graph(kNodes);
+  std::vector<NodeId> path;
+  for (NodeId n = kHops; n > 0; --n) {
+    graph.add_link(n - 1, n, 1.0);
+    path.push_back(n);
+  }
+  path.push_back(0);
+  (void)graph.neighbors(0);
+  (void)graph.link_between(0, 1);
+
+  const std::uint64_t before = allocated_bytes();
+  {
+    mcast::MulticastTree tree(graph, 0);
+    tree.graft(kHops, path);
+    EXPECT_EQ(tree.on_tree_count(), kHops + 1);
+    EXPECT_EQ(tree.member_count(), 1);
+  }
+  const std::uint64_t after = allocated_bytes();
+#if SMRP_ALLOC_HOOK_ACTIVE
+  EXPECT_LT(after - before, 16u * 1024u)
+      << "a session tree allocated for the whole graph";
 #else
   (void)before;
   (void)after;

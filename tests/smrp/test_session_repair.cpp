@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "eval/failure_sequence.hpp"
+#include "multicast/tree_equality.hpp"
 #include "net/shortest_path.hpp"
 #include "net/transit_stub.hpp"
 #include "net/waxman.hpp"
@@ -52,6 +53,27 @@ TEST(RepairSession, NearestFirstOrderAndNeighborAssist) {
   EXPECT_EQ(report.outcomes[1].member, fig.C);
   EXPECT_DOUBLE_EQ(report.outcomes[1].recovery_distance, 2.0);
   EXPECT_EQ(report.outcomes[1].reattach_node, fig.D);
+}
+
+// A default Failure{} names kNoLink, which is no tree link: the repair
+// may reject it or report nothing, but must not touch the tree.
+TEST(RepairSession, DefaultFailureLeavesTreeUnchanged) {
+  const Fig1Topology fig;
+  for (const DetourPolicy policy :
+       {DetourPolicy::kLocal, DetourPolicy::kGlobal}) {
+    mcast::MulticastTree tree = fig1_tree(fig);
+    const mcast::MulticastTree before = tree;
+    try {
+      const SessionRepairReport report =
+          repair_session(fig.graph, tree, Failure{}, policy);
+      EXPECT_EQ(report.disconnected_members, 0);
+      EXPECT_TRUE(report.outcomes.empty());
+    } catch (const std::exception&) {
+      // Rejecting the failure is fine too.
+    }
+    EXPECT_NO_THROW(tree.validate());
+    testing::expect_same_tree(tree, before);
+  }
 }
 
 TEST(RepairSession, GlobalPolicyAlsoHeals) {
