@@ -1,8 +1,11 @@
 #include "obs/expect/offline.hpp"
 
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -144,8 +147,26 @@ double require_num(const std::vector<Field>& fields, std::string_view key,
   return f->num;
 }
 
-std::string require_str(const std::vector<Field>& fields, std::string_view key,
-                        std::size_t line) {
+/// A numeric field as an integer of type T. Non-finite, fractional and
+/// out-of-range values fail with the line number instead of reaching a
+/// float-to-integer cast, which is undefined for them.
+template <class T>
+T require_integer(const std::vector<Field>& fields, std::string_view key,
+                  std::size_t line) {
+  const double value = require_num(fields, key, line);
+  // 2^digits: the first value past T's range, exact as a double.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  const double low = std::numeric_limits<T>::is_signed ? -limit : 0.0;
+  if (!(value >= low && value < limit) || value != std::trunc(value)) {
+    char shown[32];
+    std::snprintf(shown, sizeof(shown), "%.17g", value);
+    fail(line, std::string(key) + " " + shown + " is not an integer in range");
+  }
+  return static_cast<T>(value);
+}
+
+const std::string& require_str(const std::vector<Field>& fields,
+                               std::string_view key, std::size_t line) {
   const Field* f = find(fields, key);
   if (f == nullptr || !f->is_string) {
     fail(line, "missing string field " + std::string(key));
@@ -203,6 +224,11 @@ OfflineResult check_stream(std::istream& in, const RuleSet& rules,
     }
   };
 
+  // An event line's attributes, reused across lines: the view handed to
+  // the checker points into them.
+  std::vector<std::string_view> keys;
+  std::vector<double> values;
+
   std::string text;
   std::size_t line = 0;
   while (std::getline(in, text)) {
@@ -225,10 +251,10 @@ OfflineResult check_stream(std::istream& in, const RuleSet& rules,
     if (!checker) continue;  // section filtered out
     if (type == "span") {
       Span span;
-      span.id = static_cast<SpanId>(require_num(fields, "id", line));
-      span.parent = static_cast<SpanId>(require_num(fields, "parent", line));
+      span.id = require_integer<SpanId>(fields, "id", line);
+      span.parent = require_integer<SpanId>(fields, "parent", line);
       span.kind = require_str(fields, "kind", line);
-      span.node = static_cast<std::int64_t>(require_num(fields, "node", line));
+      span.node = require_integer<std::int64_t>(fields, "node", line);
       span.start = require_num(fields, "start", line);
       span.end = require_num(fields, "end", line);
       span.status = span_status_from_name(require_str(fields, "status", line));
@@ -241,15 +267,20 @@ OfflineResult check_stream(std::istream& in, const RuleSet& rules,
       }
       checker->on_span_closed(span);
     } else if (type == "event") {
-      Event event;
-      event.kind = require_str(fields, "kind", line);
-      event.node =
-          static_cast<std::int64_t>(require_num(fields, "node", line));
-      event.t = require_num(fields, "t", line);
+      keys.clear();
+      values.clear();
       for (const Field& f : fields) {
         if (f.is_string || is_core_event_key(f.key)) continue;
-        event.attrs.emplace_back(f.key, f.num);
+        keys.push_back(f.key);
+        values.push_back(f.num);
       }
+      Event event;
+      event.kind = require_str(fields, "kind", line);
+      // The event log stores nodes as 32 bits; so does its export.
+      event.node = require_integer<std::int32_t>(fields, "node", line);
+      event.t = require_num(fields, "t", line);
+      event.keys = keys;
+      event.values = values;
       checker->on_event(event);
     }
     // counter/gauge/hist and future record types carry no expectations.

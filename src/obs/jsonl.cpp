@@ -131,14 +131,16 @@ void JsonlSink::write_snapshot(const Telemetry& telemetry, double now,
     line.emit(*out_);
   }
 
-  for (const Event& event : telemetry.events.events()) {
+  telemetry.events.for_each([&](const Event& event) {
     Line line("event");
     line.field("kind", event.kind)
         .field("node", static_cast<double>(event.node))
         .field("t", event.t);
-    for (const auto& [key, value] : event.attrs) line.field(key, value);
+    for (std::size_t i = 0; i < event.keys.size(); ++i) {
+      line.field(event.keys[i], event.values[i]);
+    }
     line.emit(*out_);
-  }
+  });
 
   for (const Sample& sample : telemetry.samples()) {
     Line line("sample");

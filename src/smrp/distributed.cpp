@@ -134,6 +134,11 @@ void DistributedSession::attach_telemetry(obs::Telemetry* telemetry) {
   g_conv_converged_ = &m.gauge("smrp.convergence.converged");
   g_conv_quiet_ms_ = &m.gauge("smrp.convergence.quiet_ms");
   h_conv_skew_ = &m.histogram("smrp.convergence.skew_ms");
+  obs::EventLog& events = telemetry->events;
+  e_forward_ =
+      events.shape("forward", {"seq", "on_tree", "from_parent", "epoch"});
+  e_deliver_ = events.shape("deliver", {"seq"});
+  e_restart_ = events.shape("restart", {"member"});
 }
 
 void DistributedSession::tl_open_outage(net::NodeId n) {
@@ -296,17 +301,16 @@ void DistributedSession::tl_event_forward(net::NodeId n, std::uint64_t seq,
     t.last_parent = parent;
     ++t.epoch;
   }
-  telemetry_->events.record("forward", n, simulator_->now(),
-                            {{"seq", static_cast<double>(seq)},
-                             {"on_tree", on_tree ? 1.0 : 0.0},
-                             {"from_parent", from_parent ? 1.0 : 0.0},
-                             {"epoch", static_cast<double>(t.epoch)}});
+  telemetry_->events.record(
+      e_forward_, n, simulator_->now(),
+      {static_cast<double>(seq), on_tree ? 1.0 : 0.0,
+       from_parent ? 1.0 : 0.0, static_cast<double>(t.epoch)});
 }
 
 void DistributedSession::tl_event_deliver(net::NodeId n, std::uint64_t seq) {
   if (telemetry_ == nullptr) return;
-  telemetry_->events.record("deliver", n, simulator_->now(),
-                            {{"seq", static_cast<double>(seq)}});
+  telemetry_->events.record(e_deliver_, n, simulator_->now(),
+                            {static_cast<double>(seq)});
 }
 
 void DistributedSession::start() {
@@ -404,8 +408,8 @@ void DistributedSession::restart_agent(net::NodeId n) {
   const bool was_member = s.is_member;
   tl_on_restart(n, was_member);
   if (telemetry_ != nullptr) {
-    telemetry_->events.record("restart", n, simulator_->now(),
-                              {{"member", was_member ? 1.0 : 0.0}});
+    telemetry_->events.record(e_restart_, n, simulator_->now(),
+                              {was_member ? 1.0 : 0.0});
   }
   s = AgentState{};
   s.is_member = was_member;

@@ -415,6 +415,9 @@ class DistributedSession {
   obs::Gauge* g_conv_converged_ = nullptr;
   obs::Gauge* g_conv_quiet_ms_ = nullptr;
   obs::Histogram* h_conv_skew_ = nullptr;
+  obs::EventShape e_forward_;  ///< forward{seq, on_tree, from_parent, epoch}
+  obs::EventShape e_deliver_;  ///< deliver{seq}
+  obs::EventShape e_restart_;  ///< restart{member}
 };
 
 }  // namespace smrp::proto

@@ -130,10 +130,12 @@ TEST(ExpectChecker, FlagRuleRequiresPresentNonzeroAttr) {
   Telemetry telemetry;
   checker.attach(telemetry);
 
-  telemetry.events.record("forward", 1, 10.0, {{"on_tree", 1.0}});
-  telemetry.events.record("forward", 2, 20.0, {{"on_tree", 0.0}});
-  telemetry.events.record("forward", 3, 30.0, {});
-  telemetry.events.record("deliver", 4, 40.0, {});  // different kind
+  EventLog& events = telemetry.events;
+  const EventShape forward = events.shape("forward", {"on_tree"});
+  events.record(forward, 1, 10.0, {1.0});
+  events.record(forward, 2, 20.0, {0.0});
+  events.record(events.shape("forward", {}), 3, 30.0, {});
+  events.record(events.shape("deliver", {}), 4, 40.0, {});  // different kind
 
   const ExpectReport report = checker.report();
   const RuleOutcome& outcome = report.rules[0];
@@ -152,11 +154,12 @@ TEST(ExpectChecker, MonotoneRuleIsStrictAndPerNode) {
   Telemetry telemetry;
   checker.attach(telemetry);
 
-  telemetry.events.record("deliver", 1, 10.0, {{"seq", 5.0}});
-  telemetry.events.record("deliver", 2, 11.0, {{"seq", 5.0}});  // other node ok
-  telemetry.events.record("deliver", 1, 12.0, {{"seq", 6.0}});
-  telemetry.events.record("deliver", 1, 13.0, {{"seq", 6.0}});  // duplicate
-  telemetry.events.record("deliver", 2, 14.0, {{"seq", 4.0}});  // regression
+  const EventShape deliver = telemetry.events.shape("deliver", {"seq"});
+  telemetry.events.record(deliver, 1, 10.0, {5.0});
+  telemetry.events.record(deliver, 2, 11.0, {5.0});  // other node ok
+  telemetry.events.record(deliver, 1, 12.0, {6.0});
+  telemetry.events.record(deliver, 1, 13.0, {6.0});  // duplicate
+  telemetry.events.record(deliver, 2, 14.0, {4.0});  // regression
 
   const ExpectReport report = checker.report();
   const RuleOutcome& outcome = report.rules[0];
@@ -174,14 +177,16 @@ TEST(ExpectChecker, FollowsRuleGatesSubjectsAndCatchesUnanswered) {
   Telemetry telemetry;
   checker.attach(telemetry);
 
+  const EventShape restart = telemetry.events.shape("restart", {"member"});
+  const EventShape deliver = telemetry.events.shape("deliver", {"seq"});
   // Non-member restart: the gate excludes it entirely.
-  telemetry.events.record("restart", 1, 10.0, {{"member", 0.0}});
+  telemetry.events.record(restart, 1, 10.0, {0.0});
   // Member restart answered by a later deliver at the same node.
-  telemetry.events.record("restart", 2, 20.0, {{"member", 1.0}});
-  telemetry.events.record("deliver", 2, 30.0, {{"seq", 1.0}});
+  telemetry.events.record(restart, 2, 20.0, {1.0});
+  telemetry.events.record(deliver, 2, 30.0, {1.0});
   // Member restart never answered (a deliver elsewhere does not count).
-  telemetry.events.record("restart", 3, 40.0, {{"member", 1.0}});
-  telemetry.events.record("deliver", 4, 50.0, {{"seq", 2.0}});
+  telemetry.events.record(restart, 3, 40.0, {1.0});
+  telemetry.events.record(deliver, 4, 50.0, {2.0});
 
   const ExpectReport report = checker.report();
   const RuleOutcome& outcome = report.rules[0];
@@ -222,7 +227,8 @@ TEST(ExpectChecker, ReportIsRepeatableAndRendersTheTable) {
   checker.attach(telemetry);
   const SpanId s = telemetry.spans.open("outage", 5, 10.0);
   telemetry.spans.close(s, 20.0, SpanStatus::kFailed);
-  telemetry.events.record("forward", 5, 15.0, {{"on_tree", 1.0}});
+  telemetry.events.record(telemetry.events.shape("forward", {"on_tree"}), 5,
+                          15.0, {1.0});
 
   const ExpectReport once = checker.report();
   const ExpectReport twice = checker.report();

@@ -42,11 +42,14 @@ Telemetry make_bundle() {
   t.spans.close(outage, 200.0, SpanStatus::kOk);  // ok but no repair child
   (void)t.spans.open("outage", 5, 300.0);  // left open: truncated at export
 
-  t.events.record("forward", 3, 110.0, {{"seq", 1.0}, {"on_tree", 1.0}});
-  t.events.record("forward", 4, 115.0, {{"seq", 1.0}, {"on_tree", 0.0}});
-  t.events.record("deliver", 3, 118.0, {{"seq", 1.0}});
-  t.events.record("deliver", 3, 119.0, {{"seq", 1.0}});  // duplicate
-  t.events.record("restart", 6, 150.0, {{"member", 1.0}});  // never rejoins
+  const EventShape forward = t.events.shape("forward", {"seq", "on_tree"});
+  const EventShape deliver = t.events.shape("deliver", {"seq"});
+  const EventShape restart = t.events.shape("restart", {"member"});
+  t.events.record(forward, 3, 110.0, {1.0, 1.0});
+  t.events.record(forward, 4, 115.0, {1.0, 0.0});
+  t.events.record(deliver, 3, 118.0, {1.0});
+  t.events.record(deliver, 3, 119.0, {1.0});  // duplicate
+  t.events.record(restart, 6, 150.0, {1.0});  // never rejoins
   return t;
 }
 
@@ -81,9 +84,8 @@ TEST(ExpectOffline, ReplayOfOwnExportIsByteIdenticalToOnline) {
     cut.status = SpanStatus::kTruncated;
     online.on_span_closed(cut);
   }
-  for (const Event& event : telemetry.events.events()) {
-    online.on_event(event);
-  }
+  telemetry.events.for_each(
+      [&](const Event& event) { online.on_event(event); });
 
   std::ostringstream jsonl;
   JsonlSink sink(jsonl);
@@ -154,6 +156,35 @@ TEST(ExpectOffline, RejectsMalformedInputWithLineNumbers) {
       "line 1");
   expect_error("{\"type\":\"meta\",\"version\":1,\"run\":\"r\"}\nnot json\n",
                "line 2");
+
+  // Ids and nodes must be integers their types can hold: a cast of
+  // anything else is undefined, so it fails with its line number.
+  const std::string meta = R"({"type":"meta","version":1,"run":"r"})"
+                           "\n";
+  const auto span_with = [](const std::string& id, const std::string& parent,
+                            const std::string& node) {
+    return R"({"type":"span","id":)" + id + R"(,"parent":)" + parent +
+           R"(,"kind":"outage","node":)" + node +
+           R"(,"start":0,"end":1,"status":"ok"})"
+           "\n";
+  };
+  expect_error(meta +
+                   R"({"type":"event","kind":"deliver","node":1e300,)"
+                   R"("t":1,"seq":1})"
+                   "\n",
+               "line 2: node 1.0000000000000001e+300 is not an integer");
+  expect_error(meta + span_with("-1", "0", "1"),
+               "line 2: id -1 is not an integer");
+  expect_error(meta + span_with("2", "0", "1") + span_with("3", "0.5", "1"),
+               "line 3: parent 0.5 is not an integer");
+  expect_error(meta + span_with("2", "0", "nan"),
+               "line 2: node nan is not an integer");
+  // The same shapes with in-range integers replay cleanly.
+  std::istringstream good(meta + span_with("2", "0", "1") +
+                          R"({"type":"event","kind":"deliver","node":1,)"
+                          R"("t":1,"seq":1})"
+                          "\n");
+  EXPECT_EQ(check_stream(good, rules).runs.size(), 1u);
 }
 
 TEST(ExpectOffline, CheckFileThrowsOnMissingFile) {

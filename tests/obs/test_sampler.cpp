@@ -116,7 +116,7 @@ TEST(GaugeSampler, FinishSkipsTheClosingSnapshotWhenAlreadyCurrent) {
 TEST(TelemetryFinish, IsIdempotentAndSealsAgainstLateEmission) {
   Telemetry t;
   const SpanId outage = t.spans.open("outage", 3, 100.0);
-  t.events.record("deliver", 3, 150.0, {{"seq", 1.0}});
+  t.events.record(t.events.shape("deliver", {"seq"}), 3, 150.0, {1.0});
   t.finish(200.0);
 
   // The flush truncated the open span exactly once.
@@ -135,7 +135,7 @@ TEST(TelemetryFinish, IsIdempotentAndSealsAgainstLateEmission) {
 
   // Emission after the flush is a discipline bug: counted, not recorded.
   EXPECT_EQ(t.spans.open("outage", 4, 300.0), kNoSpan);
-  t.events.record("deliver", 4, 300.0);
+  t.events.record(t.events.shape("deliver", {}), 4, 300.0, {});
   EXPECT_EQ(t.spans.spans().size(), 1u);
   EXPECT_EQ(t.events.size(), 1u);
   EXPECT_EQ(t.spans.late_opens(), 1u);
@@ -151,12 +151,12 @@ TEST(JsonlRoundTrip, KilledMidOutageExportsIdenticallyOnlineAndFlushed) {
   t.metrics.counter("smrp.sim.events").add(41);
   t.metrics.gauge("smrp.sim.queue_depth").set(5.0);
   t.metrics.histogram("smrp.proto.outage_ms").record(320.0);
-  t.events.record("forward", 2, 180.0, {{"on_tree", 1.0}});
+  t.events.record(t.events.shape("forward", {"on_tree"}), 2, 180.0, {1.0});
   const SpanId outage = t.spans.open("outage", 6, 200.0);
   const SpanId repair = t.spans.open("repair", 6, 240.0, outage);
   t.spans.attr(repair, "rings", 2.0);
   t.spans.close(repair, 410.0, SpanStatus::kOk);
-  t.events.record("deliver", 6, 420.0, {{"seq", 7.0}});
+  t.events.record(t.events.shape("deliver", {"seq"}), 6, 420.0, {7.0});
   t.maybe_sample(500.0);
   const SpanId graft = t.spans.open("graft", 6, 800.0, outage);
   (void)graft;  // left open: the kill truncates it mid-flight

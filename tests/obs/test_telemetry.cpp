@@ -8,14 +8,20 @@
 //    (bit-identical tree, counters, and message totals vs. detached);
 //  * measurement agreement — an outage span's total matches the payload
 //    gap an external observer measures, which is what ties trace_report's
-//    waterfall totals to bench_chaos_recovery's interruption gaps.
+//    waterfall totals to bench_chaos_recovery's interruption gaps;
+//  * a pinned export — the soak's JSONL snapshot hashes to a recorded
+//    value, so a storage change in the span or event log that moves one
+//    exported byte fails here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "obs/jsonl.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/fault_injection.hpp"
 #include "smrp/harness.hpp"
@@ -189,12 +195,44 @@ TEST(TelemetrySoak, DetachedSoakRecordsNothing) {
   // Attaching registers instrument names (handles are resolved eagerly),
   // but after the detach nothing may be recorded through them.
   EXPECT_TRUE(telemetry.spans.spans().empty());
+  EXPECT_EQ(telemetry.events.size(), 0u);
   for (const auto& [name, counter] : telemetry.metrics.counters()) {
     EXPECT_EQ(counter.value(), 0u) << name;
   }
   for (const auto& [name, hist] : telemetry.metrics.histograms()) {
     EXPECT_EQ(hist.count(), 0u) << name;
   }
+}
+
+/// FNV-1a 64 over the bytes of `text`.
+std::uint64_t fnv1a64(std::string_view text) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+TEST(TelemetrySoak, AttachedSoakExportIsPinned) {
+  obs::Telemetry telemetry;
+  const SoakRun run = run_soak(&telemetry);
+  telemetry.finish(run.end_time);
+  std::ostringstream out;
+  obs::JsonlSink(out).write_snapshot(telemetry, run.end_time, "soak");
+  const std::string text = out.str();
+
+  // Recorded from this soak's export with the heap-object event log the
+  // block log replaced, so the block log reproduces it byte for byte. A
+  // change that moves an exported byte on purpose re-records both.
+  constexpr std::uint64_t kLines = 11152;
+  constexpr std::uint64_t kHash = 0xbc46985b18f2e42bull;
+  EXPECT_EQ(static_cast<std::uint64_t>(
+                std::count(text.begin(), text.end(), '\n')),
+            kLines);
+  EXPECT_EQ(fnv1a64(text), kHash);
+  EXPECT_GT(telemetry.events.count("forward"), 0u);
+  EXPECT_GT(telemetry.events.count("deliver"), 0u);
 }
 
 TEST(TelemetrySoak, OutageSpanTotalMatchesExternallyMeasuredPayloadGap) {

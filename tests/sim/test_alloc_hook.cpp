@@ -6,7 +6,9 @@
 //   - schedule/cancel/fire timer churn (slab + freelist + 64B SBO actions)
 //   - SimNetwork DataMsg dispatch and broadcast (pooled envelopes)
 // Its byte counter also guards the multicast tree's footprint: a session
-// allocates for its tree, not for the graph under it.
+// allocates for its tree, not for the graph under it, and the telemetry
+// event log's: a payload event costs its bytes in a shared block, not a
+// heap object of its own.
 // Under ASan/TSan the allocator is the sanitizer's, so the raw counter
 // assertions are skipped there and the pool-stats invariants (no slab
 // growth, no SBO overflow) carry the test instead.
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "multicast/tree.hpp"
+#include "obs/events.hpp"
 #include "sim/network.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
@@ -264,6 +267,38 @@ TEST(AllocHook, SessionTreeAllocatesForItsTreeNotTheGraph) {
 #else
   (void)before;
   (void)after;
+#endif
+}
+
+TEST(AllocHook, EventLogRecordsIntoBlocksNotPerEventObjects) {
+  // The protocol's hottest event: forward{seq, on_tree, from_parent,
+  // epoch}, a 48-byte record. 100,000 of them fill about 74 blocks of
+  // 64 KiB; a heap object per event would be 100,000 allocations.
+  constexpr std::uint64_t kEvents = 100'000;
+  obs::EventLog log;
+  const obs::EventShape forward =
+      log.shape("forward", {"seq", "on_tree", "from_parent", "epoch"});
+
+  const std::uint64_t before = allocation_count();
+  const std::uint64_t before_bytes = allocated_bytes();
+  for (std::uint64_t i = 0; i < kEvents; ++i) {
+    log.record(forward, static_cast<NodeId>(i % 64), 0.5 * i,
+               {static_cast<double>(i), 1.0, 0.0, 3.0});
+  }
+  const std::uint64_t after = allocation_count();
+  const std::uint64_t after_bytes = allocated_bytes();
+
+  EXPECT_EQ(log.size(), kEvents);
+  EXPECT_EQ(log.count("forward"), kEvents);
+#if SMRP_ALLOC_HOOK_ACTIVE
+  EXPECT_LT(after - before, 100u) << "the event log allocated per event";
+  EXPECT_LE(after_bytes - before_bytes, 64u * kEvents)
+      << "an event costs more than 64 B of allocation";
+#else
+  (void)before;
+  (void)after;
+  (void)before_bytes;
+  (void)after_bytes;
 #endif
 }
 

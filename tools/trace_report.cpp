@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -246,6 +247,26 @@ double require_num(const LineObject& obj, const char* key, int line) {
   return *v;
 }
 
+/// A numeric field as an integer of type T. Non-finite, fractional and
+/// out-of-range values are malformed: a float-to-integer cast of them is
+/// undefined.
+template <class T>
+T to_integer(double value, const char* key, int line) {
+  // 2^digits: the first value past T's range, exact as a double.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  const double low = std::numeric_limits<T>::is_signed ? -limit : 0.0;
+  if (!(value >= low && value < limit) || value != std::trunc(value)) {
+    malformed(line, std::string("field \"") + key +
+                        "\" is not an integer in range");
+  }
+  return static_cast<T>(value);
+}
+
+template <class T>
+T require_integer(const LineObject& obj, const char* key, int line) {
+  return to_integer<T>(require_num(obj, key, line), key, line);
+}
+
 const std::string& require_str(const LineObject& obj, const char* key,
                                int line) {
   const std::string* v = obj.str(key);
@@ -301,14 +322,16 @@ void render_run(const RunSection& run, bool show_samples) {
     if (s.kind != "outage") continue;
     ++outages;
     int repairs = 0;
-    int rings = 0;
+    // A double: the attr is read from the file, and casting an
+    // out-of-range value to an integer is undefined.
+    double rings = 0.0;
     double search_ms = 0.0;
     double graft_ms = 0.0;
     const SpanRow* convergence = nullptr;
     for (const SpanRow* child : children[s.id]) {
       if (child->kind == "repair") {
         ++repairs;
-        rings += static_cast<int>(child->attr("rings", 0.0));
+        rings += child->attr("rings", 0.0);
         search_ms += child->end - child->start;
       } else if (child->kind == "graft" || child->kind == "fallback") {
         graft_ms += child->end - child->start;
@@ -332,7 +355,7 @@ void render_run(const RunSection& run, bool show_samples) {
     }
     episodes.add_row({std::to_string(s.node), ms(s.start),
                       ms(s.attr("silence_ms", s.start - lost_at)),
-                      std::to_string(repairs), std::to_string(rings),
+                      std::to_string(repairs), Table::fixed(rings, 0),
                       ms(search_ms), ms(graft_ms), ms(total), skew, s.status});
   }
   if (outages > 0) {
@@ -420,8 +443,8 @@ void render_run(const RunSection& run, bool show_samples) {
     if (count_it != run.gauges.end() || bytes_it != run.gauges.end()) {
       std::cout << "; "
                 << (count_it != run.gauges.end()
-                        ? static_cast<std::uint64_t>(count_it->second)
-                        : 0)
+                        ? Table::fixed(count_it->second, 0)
+                        : "0")
                 << " snapshots resident";
       if (bytes_it != run.gauges.end()) {
         std::cout << " (~"
@@ -524,12 +547,14 @@ int main(int argc, char** argv) {
       run.label = require_str(obj, "run", line_no);
       run.at = require_num(obj, "at", line_no);
       run.declared_spans =
-          static_cast<std::uint64_t>(require_num(obj, "spans", line_no));
+          require_integer<std::uint64_t>(obj, "spans", line_no);
       if (const auto events = obj.num("events")) {
-        run.declared_events = static_cast<std::uint64_t>(*events);
+        run.declared_events =
+            to_integer<std::uint64_t>(*events, "events", line_no);
       }
       if (const auto samples = obj.num("samples")) {
-        run.declared_samples = static_cast<std::uint64_t>(*samples);
+        run.declared_samples =
+            to_integer<std::uint64_t>(*samples, "samples", line_no);
       }
       runs.push_back(std::move(run));
       continue;
@@ -538,11 +563,10 @@ int main(int argc, char** argv) {
     RunSection& run = runs.back();
     if (type == "span") {
       SpanRow span;
-      span.id = static_cast<std::uint64_t>(require_num(obj, "id", line_no));
-      span.parent =
-          static_cast<std::uint64_t>(require_num(obj, "parent", line_no));
+      span.id = require_integer<std::uint64_t>(obj, "id", line_no);
+      span.parent = require_integer<std::uint64_t>(obj, "parent", line_no);
       span.kind = require_str(obj, "kind", line_no);
-      span.node = static_cast<std::int64_t>(require_num(obj, "node", line_no));
+      span.node = require_integer<std::int64_t>(obj, "node", line_no);
       span.start = require_num(obj, "start", line_no);
       span.end = require_num(obj, "end", line_no);
       span.status = require_str(obj, "status", line_no);
@@ -560,12 +584,13 @@ int main(int argc, char** argv) {
       run.spans.push_back(std::move(span));
     } else if (type == "event") {
       require_str(obj, "kind", line_no);
-      require_num(obj, "node", line_no);
+      // Events are recorded with 32-bit node ids.
+      require_integer<std::int32_t>(obj, "node", line_no);
       require_num(obj, "t", line_no);
       ++run.events;
     } else if (type == "counter") {
       run.counters[require_str(obj, "name", line_no)] =
-          static_cast<std::uint64_t>(require_num(obj, "value", line_no));
+          require_integer<std::uint64_t>(obj, "value", line_no);
     } else if (type == "gauge") {
       require_num(obj, "max", line_no);  // schema check
       run.gauges[require_str(obj, "name", line_no)] =
@@ -578,7 +603,7 @@ int main(int argc, char** argv) {
       run.samples.push_back(std::move(sample));
     } else if (type == "hist") {
       HistRow h;
-      h.count = static_cast<std::uint64_t>(require_num(obj, "count", line_no));
+      h.count = require_integer<std::uint64_t>(obj, "count", line_no);
       h.sum = require_num(obj, "sum", line_no);
       h.mean = require_num(obj, "mean", line_no);
       h.p50 = require_num(obj, "p50", line_no);
