@@ -9,8 +9,9 @@
 // aggregates are byte-identical for any --shards value. The small/medium
 // tiers run the full SMRP path-selection engine; the large tiers (100k
 // nodes, and the million-member scale1m point) use the SPF baseline
-// engine, whose O(path) joins make session count — not per-join search —
-// the measured variable. EXPERIMENTS.md records the tier rationale.
+// engine, whose O(path + depth) joins (a parent-pointer walk and one
+// graft) make session count — not per-join search — the measured
+// variable. EXPERIMENTS.md records the tier rationale.
 //
 // Per tier the bench emits three kinds of series:
 //   <tier>/det_*        bit-deterministic at a fixed seed for ANY shard

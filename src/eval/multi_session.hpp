@@ -17,8 +17,9 @@
 // Engine choice per run: the full SMRP path-selection builder (one
 // shortest-path search per join — faithful but superlinear in members ×
 // graph size), or the SPF baseline builder (RFC 2362-style hop-toward-
-// source joins off the shared source snapshot, O(path) per join) for the
-// tiers where SMRP's per-join search is not the thing being measured.
+// source joins off the shared source snapshot, O(path + depth) per join:
+// a parent-pointer walk and one graft) for the tiers where SMRP's
+// per-join search is not the thing being measured.
 // Everything is driven from one caller-provided Rng, so a (seed, params)
 // pair reproduces the run bit-for-bit.
 #pragma once

@@ -152,7 +152,18 @@ int MulticastTree::shr(NodeId n) const {
   if (s == kNoSlot) {
     throw std::invalid_argument("SHR queried for off-tree node");
   }
-  return rec(s).shr;
+  // Eq. 1: N summed over the path, the source's own excluded. SHR is
+  // bounded by depth × members, which can pass 2^31 on a degenerate
+  // deep-chain session at 100k-node scale — accumulate wide and refuse to
+  // return a wrapped value (int keeps the on-wire/protocol width).
+  std::int64_t total = 0;
+  for (Slot cur = s; rec(cur).parent != kNoSlot; cur = rec(cur).parent) {
+    total += rec(cur).n_members;
+  }
+  if (total > std::numeric_limits<int>::max()) {
+    throw std::overflow_error("SHR exceeds int range");
+  }
+  return static_cast<int>(total);
 }
 
 std::vector<NodeId> MulticastTree::members() const {
@@ -225,8 +236,8 @@ int MulticastTree::shr_excluding_subtree(NodeId merge_candidate,
   }
   const Slot moved = checked_find(member);
   const int moving = moved == kNoSlot ? 0 : rec(moved).n_members;
-  // Same path-sum bound as recompute_shr: accumulate wide, fail loudly
-  // rather than wrap on degenerate deep chains.
+  // Same path-sum bound as shr(): accumulate wide, fail loudly rather
+  // than wrap on degenerate deep chains.
   std::int64_t total = 0;
   // Nodes that currently serve `member`'s subtree would lose its members
   // once the subtree moves away; discount them (§3.2.3 adjustment). Once
@@ -312,30 +323,6 @@ void MulticastTree::add_member_count_upward(Slot from, int delta) {
   }
 }
 
-void MulticastTree::recompute_shr() {
-  // Top-down pass: SHR(S,S)=0; SHR(S,R)=SHR(S,R_u)+N_R (Eq. 2). SHR is
-  // bounded by depth × members, which can pass 2^31 on a degenerate
-  // deep-chain session at 100k-node scale — accumulate wide and refuse to
-  // store a wrapped value (int keeps the on-wire/protocol width).
-  const Slot root = source_slot();
-  if (root == kNoSlot) return;
-  rec(root).shr = 0;
-  std::vector<Slot> stack{root};
-  while (!stack.empty()) {
-    const Slot s = stack.back();
-    stack.pop_back();
-    for (Slot c = rec(s).first_child; c != kNoSlot; c = rec(c).next_sibling) {
-      const std::int64_t wide =
-          static_cast<std::int64_t>(rec(s).shr) + rec(c).n_members;
-      if (wide > std::numeric_limits<int>::max()) {
-        throw std::overflow_error("SHR exceeds int range");
-      }
-      rec(c).shr = static_cast<int>(wide);
-      stack.push_back(c);
-    }
-  }
-}
-
 void MulticastTree::graft(NodeId member, const std::vector<NodeId>& path) {
   if (path.empty() || path.front() != member) {
     throw std::invalid_argument("graft path must start at the joining member");
@@ -355,7 +342,6 @@ void MulticastTree::graft(NodeId member, const std::vector<NodeId>& path) {
     rec(s).role = NodeRole::kMember;
     ++member_count_;
     add_member_count_upward(s, +1);
-    recompute_shr();
     return;
   }
   // Intermediate nodes (everything but the merge node) must be off-tree,
@@ -389,7 +375,6 @@ void MulticastTree::graft(NodeId member, const std::vector<NodeId>& path) {
   }
   ++member_count_;
   add_member_count_upward(merge_slot, +1);
-  recompute_shr();
 }
 
 void MulticastTree::prune_upward_from(Slot s) {
@@ -419,7 +404,6 @@ void MulticastTree::leave(NodeId member) {
   --member_count_;
   add_member_count_upward(s, -1);
   prune_upward_from(s);
-  recompute_shr();
 }
 
 void MulticastTree::move_subtree(NodeId node,
@@ -484,7 +468,6 @@ void MulticastTree::move_subtree(NodeId node,
 
   // 3. Release the old path.
   if (old_parent != kNoSlot) prune_upward_from(old_parent);
-  recompute_shr();
 }
 
 void MulticastTree::drop_subtree(Slot root, NodeId skip,
@@ -518,13 +501,12 @@ std::vector<NodeId> MulticastTree::sever(LinkId failed_link) {
   detach_from_parent(downstream);
   drop_subtree(downstream, kNoNode, lost_members);
 
-  // Retire the dropped members' contribution upstream, prune any relay
-  // chain left dangling, and refresh SHR.
+  // Retire the dropped members' contribution upstream and prune any relay
+  // chain left dangling.
   if (upstream != kNoSlot) {
     add_member_count_upward(upstream, -dropped_members);
     prune_upward_from(upstream);
   }
-  recompute_shr();
   std::sort(lost_members.begin(), lost_members.end());
   return lost_members;
 }
@@ -545,7 +527,6 @@ std::vector<NodeId> MulticastTree::sever_node(NodeId failed_node) {
     add_member_count_upward(upstream, -dropped_members);
     prune_upward_from(upstream);
   }
-  recompute_shr();
   std::sort(lost_members.begin(), lost_members.end());
   return lost_members;
 }
@@ -583,7 +564,7 @@ void MulticastTree::validate() const {
     const Record& r = records_[i];
     if (r.node == kNoNode) {
       if (r.role != NodeRole::kOffTree || r.parent != kNoSlot ||
-          r.parent_link != kNoLink || r.n_members != 0 || r.shr != 0 ||
+          r.parent_link != kNoLink || r.n_members != 0 ||
           r.first_child != kNoSlot || r.last_child != kNoSlot) {
         throw std::logic_error("free record carries tree state");
       }
@@ -687,14 +668,6 @@ void MulticastTree::validate() const {
     if (r.node == kNoNode) continue;
     if (r.n_members != derived_members[i]) {
       throw std::logic_error("N_R out of sync with membership");
-    }
-    // SHR via Eq. 1 directly: sum of N over path nodes except the source.
-    int direct = 0;
-    for (Slot cur = static_cast<Slot>(i); cur != root; cur = rec(cur).parent) {
-      direct += derived_members[static_cast<std::size_t>(cur)];
-    }
-    if (r.shr != direct) {
-      throw std::logic_error("SHR out of sync with Eq. 1");
     }
   }
 }

@@ -3,11 +3,12 @@
 // The tree is rooted at the source S. Every on-tree node R carries the
 // paper's per-node data structure (§3.2.1):
 //   * N_R        — number of members in the subtree rooted at R,
-//   * SHR(S,R)   — the sharing metric, maintained via Eq. 2:
-//                  SHR(S,R) = SHR(S,R_u) + N_R, with SHR(S,S) = 0.
+//   * SHR(S,R)   — the sharing metric, read as the Eq. 1 path sum of N
+//                  (S excluded) in O(depth); nothing stores it.
 // Because N_{L(R,R_u)} = N_R (all members below R use the link to R's
-// upstream), Eq. 2 is equivalent to the link-sum definition of Eq. 1; the
-// test suite checks that equivalence as an invariant.
+// upstream), that sum equals Eq. 2's SHR(S,R) = SHR(S,R_u) + N_R; the
+// test suite checks the equivalence against an Eq. 2 reference tree.
+// Storing no SHR keeps every mutation O(path + depth), not O(tree).
 //
 // Storage is sparse (DESIGN.md §14): like the paper's routers, the tree
 // keeps state for on-tree nodes only, so a session costs O(tree) memory
@@ -47,9 +48,9 @@ enum class NodeRole : unsigned char {
 
 /// Rooted multicast tree over a fixed substrate graph.
 ///
-/// Mutations (`graft`, `leave`, `move_subtree`) keep N_R and SHR(S,R)
-/// consistent incrementally; `validate()` re-derives everything from first
-/// principles and throws on any mismatch, which the property tests exploit.
+/// Mutations keep N_R consistent along the paths they touch; `validate()`
+/// re-derives everything from first principles and throws on any
+/// mismatch, which the property tests exploit.
 class MulticastTree {
   using Slot = std::int32_t;
   static constexpr Slot kNoSlot = -1;
@@ -60,7 +61,6 @@ class MulticastTree {
     NodeId node = kNoNode;
     LinkId parent_link = kNoLink;
     int n_members = 0;  ///< N_R
-    int shr = 0;        ///< SHR(S,R)
     Slot parent = kNoSlot;
     Slot first_child = kNoSlot;
     Slot last_child = kNoSlot;  ///< O(1) append at the tail
@@ -182,7 +182,9 @@ class MulticastTree {
     return s == kNoSlot ? 0 : rec(s).n_members;
   }
 
-  /// SHR(S,R) per Eq. 2. 0 for the source; throws for off-tree nodes.
+  /// SHR(S,R) per Eq. 1: N summed over `n`'s path to the source, in
+  /// O(depth). 0 for the source; throws for off-tree nodes, and
+  /// std::overflow_error if the sum passes int range.
   [[nodiscard]] int shr(NodeId n) const;
 
   /// SHR(S,`merge_candidate`) as it would read if the members currently in
@@ -297,7 +299,6 @@ class MulticastTree {
   void add_member_count_upward(Slot from, int delta);
   void prune_upward_from(Slot s);
   [[nodiscard]] bool is_ancestor_or_self_slot(Slot ancestor, Slot s) const;
-  void recompute_shr();
   /// Drop the subtree rooted at `root` (already detached): every record is
   /// released; members are appended to `lost` unless they equal `skip`.
   void drop_subtree(Slot root, NodeId skip, std::vector<NodeId>& lost);

@@ -8,7 +8,8 @@
 // Its byte counter also guards the multicast tree's footprint: a session
 // allocates for its tree, not for the graph under it, and the telemetry
 // event log's: a payload event costs its bytes in a shared block, not a
-// heap object of its own.
+// heap object of its own. A grown tree's leave/graft cycle allocates
+// nothing: a mutation touches its path, not the whole tree.
 // Under ASan/TSan the allocator is the sanitizer's, so the raw counter
 // assertions are skipped there and the pool-stats invariants (no slab
 // growth, no SBO overflow) carry the test instead.
@@ -264,6 +265,40 @@ TEST(AllocHook, SessionTreeAllocatesForItsTreeNotTheGraph) {
 #if SMRP_ALLOC_HOOK_ACTIVE
   EXPECT_LT(after - before, 16u * 1024u)
       << "a session tree allocated for the whole graph";
+#else
+  (void)before;
+  (void)after;
+#endif
+}
+
+TEST(AllocHook, TreeMutationsDoNotWalkTheTree) {
+  // A star: the source with 3,000 member leaves. Once the tree is grown,
+  // a leave releases one leaf record and a re-graft takes it back from
+  // the free list, so neither may allocate — nor walk the other 2,999
+  // leaves with a scratch stack as wide as the tree.
+  constexpr NodeId kLeaves = 3'000;
+  net::Graph graph(kLeaves + 1);
+  std::vector<std::vector<NodeId>> paths;
+  paths.reserve(kLeaves);
+  for (NodeId n = 1; n <= kLeaves; ++n) {
+    graph.add_link(n, 0, 1.0);
+    paths.push_back({n, 0});
+  }
+  mcast::MulticastTree tree(graph, 0);
+  for (const std::vector<NodeId>& path : paths) tree.graft(path[0], path);
+
+  const std::uint64_t before = allocation_count();
+  for (std::size_t i = 0; i < 100; ++i) {
+    const std::vector<NodeId>& path = paths[i * 29 % paths.size()];
+    tree.leave(path[0]);
+    tree.graft(path[0], path);
+  }
+  const std::uint64_t after = allocation_count();
+
+  EXPECT_EQ(tree.member_count(), kLeaves);
+  ASSERT_NO_THROW(tree.validate());
+#if SMRP_ALLOC_HOOK_ACTIVE
+  EXPECT_EQ(after - before, 0u) << "a tree mutation allocated";
 #else
   (void)before;
   (void)after;

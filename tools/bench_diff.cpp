@@ -42,7 +42,8 @@ using smrp::eval::Table;
 // ---------------------------------------------------------------------------
 // Minimal recursive JSON reader: just enough for the bench schema (objects,
 // strings, numbers, bools, null; arrays tolerated and skipped). Throws
-// std::runtime_error with an offset on malformed input.
+// std::runtime_error with an offset on malformed input, and on nesting
+// deeper than kMaxDepth, so hostile input cannot recurse off the stack.
 
 struct JsonValue {
   enum class Kind { kObject, kString, kNumber, kBool, kNull } kind =
@@ -93,11 +94,23 @@ class JsonReader {
     return true;
   }
 
+  /// The bench schema nests three deep.
+  static constexpr int kMaxDepth = 64;
+
   JsonValue parse_value() {
     skip_space();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) +
+               " levels");
+        }
+        ++depth_;
+        JsonValue v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.kind = JsonValue::Kind::kString;
@@ -221,6 +234,7 @@ class JsonReader {
 
   std::string text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 // ---------------------------------------------------------------------------
