@@ -8,8 +8,6 @@
 //   --seed S          root seed (default kDefaultSeed)
 //   --threads T       worker count (0 = hardware concurrency); the output
 //                     is byte-identical for any T at a fixed seed
-//   --shards K        within-trial DES shard count (default 1); det_*
-//                     series are byte-identical for any K
 //   --json PATH       write the machine-readable BENCH_<experiment>.json
 //   --telemetry PATH  JSONL snapshot export (unchanged trace schema)
 //   --sample-period M periodic gauge sampling every M ms of sim time in
@@ -17,9 +15,11 @@
 //
 // Flag owners parse their own flags (TelemetryExport::try_parse_flag);
 // the Runner alone rejects what nobody claimed, so adding a flag to one
-// owner cannot break another owner's parsing.
+// owner cannot break another owner's parsing. Every integer flag, the
+// Runner's and any bench's own, goes through int_flag().
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -47,6 +47,29 @@ inline void banner(std::string_view experiment_id, std::string_view title,
 }
 
 inline constexpr std::uint64_t kDefaultSeed = 20050628;  // DSN 2005 week
+
+/// Consume the value after the integer flag argv[i] (advancing i) and
+/// parse it into the flag's own type T. Decimal digits only: a sign,
+/// trailing junk, or a value T cannot hold is an error naming the flag —
+/// never a wrap (`--seed -1`) or a truncation (`--trials 4294967297`).
+template <typename T>
+T int_flag(int argc, char** argv, int& i) {
+  const std::string flag = argv[i];
+  if (i + 1 >= argc) throw std::invalid_argument(flag + " needs a value");
+  const std::string_view text = argv[++i];
+  const char* const end = text.data() + text.size();
+  T value{};
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (text.empty() || text.front() == '-' || stop != end) {
+    throw std::invalid_argument(flag + " needs a non-negative integer, got '" +
+                                std::string(text) + "'");
+  }
+  if (error != std::errc{}) {  // all digits, so: too large for T
+    throw std::invalid_argument(flag + " is out of range, got '" +
+                                std::string(text) + "'");
+  }
+  return value;
+}
 
 /// JSONL telemetry export for bench binaries. Inactive (every call a
 /// no-op) when `--telemetry` was absent, so instrumented benches run
@@ -178,19 +201,14 @@ class Runner {
         const std::string_view arg = argv[i];
         if (telemetry_.try_parse_flag(argc, argv, i)) continue;
         if (arg == "--trials") {
-          options_.trials = static_cast<int>(int_value(argc, argv, i));
+          options_.trials = int_flag<int>(argc, argv, i);
           if (options_.trials < 1) {
             throw std::invalid_argument("--trials needs a positive integer");
           }
         } else if (arg == "--seed") {
-          options_.seed = int_value(argc, argv, i);
+          options_.seed = int_flag<std::uint64_t>(argc, argv, i);
         } else if (arg == "--threads") {
-          options_.threads = static_cast<int>(int_value(argc, argv, i));
-        } else if (arg == "--shards") {
-          options_.shards = static_cast<int>(int_value(argc, argv, i));
-          if (options_.shards < 1) {
-            throw std::invalid_argument("--shards needs a positive integer");
-          }
+          options_.threads = int_flag<int>(argc, argv, i);
         } else if (arg == "--json") {
           if (i + 1 >= argc) {
             throw std::invalid_argument("--json needs a file path");
@@ -198,7 +216,7 @@ class Runner {
           json_path_ = argv[++i];
         } else if (arg == "--sample-period") {
           options_.sample_period =
-              static_cast<double>(int_value(argc, argv, i));
+              static_cast<double>(int_flag<int>(argc, argv, i));
           if (options_.sample_period <= 0.0) {
             throw std::invalid_argument(
                 "--sample-period needs a positive integer (ms)");
@@ -217,19 +235,6 @@ class Runner {
     }
   }
 
-  std::uint64_t int_value(int argc, char** argv, int& i) {
-    const std::string flag = argv[i];
-    if (i + 1 >= argc) throw std::invalid_argument(flag + " needs a value");
-    const char* text = argv[++i];
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
-      throw std::invalid_argument(flag + " needs an integer, got '" +
-                                  std::string(text) + "'");
-    }
-    return static_cast<std::uint64_t>(v);
-  }
-
   void usage(std::ostream& out) const {
     out << "usage: " << program_
         << " [--trials N] [--seed S] [--threads T]"
@@ -239,8 +244,6 @@ class Runner {
            "  --seed S          root seed (default " << kDefaultSeed << ")\n"
            "  --threads T       worker threads, 0 = hardware concurrency;\n"
            "                    results are identical for any T\n"
-           "  --shards K        within-trial DES shards (default 1); det_*\n"
-           "                    series are identical for any K\n"
            "  --json PATH       write machine-readable results (schema "
         << eval::kBenchJsonSchema << ")\n"
            "  --telemetry PATH  write JSONL trace snapshots\n"

@@ -6,20 +6,26 @@
 // sizes, Poisson join/leave churn, sources drawn from the transit core so
 // sessions share the oracle's SPF snapshots, and session i's entire
 // random stream derived from trial_seed(tier seed, i) so the deterministic
-// aggregates are byte-identical for any --shards value. The small/medium
+// aggregates are byte-identical for any --workers value. The small/medium
 // tiers run the full SMRP path-selection engine; the large tiers (100k
 // nodes, and the million-member scale1m point) use the SPF baseline
 // engine, whose O(path + depth) joins (a parent-pointer walk and one
 // graft) make session count — not per-join search — the measured
 // variable. EXPERIMENTS.md records the tier rationale.
 //
+// Flags: the shared bench::Runner set, plus two this binary owns —
+//   --smoke             reduced CI-sized tiers (BENCH_scale-smoke.json);
+//   --workers N         session worker threads per tier (default 1, ≥ 1):
+//                       sessions are dealt round-robin to N threads that
+//                       share the tier's one oracle (DESIGN.md §14, §16).
+//
 // Per tier the bench emits three kinds of series:
-//   <tier>/det_*        bit-deterministic at a fixed seed for ANY shard
+//   <tier>/det_*        bit-deterministic at a fixed seed for ANY worker
 //                       count (members, links, joins) — CI regression-
 //                       gates these exactly via bench_diff --series
-//                       '*/det_*', including a shards=1 vs shards=4 diff;
+//                       '*/det_*', including a workers=1 vs workers=4 diff;
 //   <tier>/oracle_hit_pct, <tier>/oracle_full_runs
-//                       the lookup total is deterministic for any shard
+//                       the lookup total is deterministic for any worker
 //                       count (the workers share ONE lock-striped oracle,
 //                       DESIGN.md §16), but the hit/full-run split can
 //                       move with thread scheduling, so these are
@@ -29,10 +35,10 @@
 //                       (source, exclusion) keys — not by K × keys as
 //                       the old per-worker-private caches were;
 //   <tier>/joins_per_sec, <tier>/wall_s, <tier>/peak_rss_mb,
-//   <tier>/shard_gain   machine-dependent throughput / footprint.
-//                       shard_gain (only with --shards > 1) is the
-//                       sequential wall over the sharded wall for the
-//                       same tier — the within-trial parallel payoff.
+//   <tier>/worker_gain  machine-dependent throughput / footprint.
+//                       worker_gain (only with --workers > 1) is the
+//                       one-worker wall over the N-worker wall for the
+//                       same tier — the session-level parallel payoff.
 //                       peak_rss is the process VmHWM after the tier's
 //                       sessions are built and still resident, so it is
 //                       monotone across tiers (tiers run smallest-first);
@@ -45,6 +51,7 @@
 #include <chrono>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string_view>
 #include <sys/resource.h>
 #include <vector>
@@ -137,17 +144,29 @@ std::vector<Tier> smoke_tiers() {
 int main(int argc, char** argv) {
   using namespace smrp;
 
-  // This binary owns --smoke; strip it before the Runner sees argv so the
-  // shared flag surface stays intact.
+  // This binary owns --smoke and --workers; strip them before the Runner
+  // sees argv so the shared flag surface stays intact.
   bool smoke = false;
+  int workers = 1;
   std::vector<char*> args;
   args.reserve(static_cast<std::size_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--smoke") {
-      smoke = true;
-      continue;
+  try {
+    for (int i = 0; i < argc; ++i) {
+      const std::string_view arg = argv[i];
+      if (arg == "--smoke") {
+        smoke = true;
+      } else if (arg == "--workers") {
+        workers = bench::int_flag<int>(argc, argv, i);
+        if (workers < 1) {
+          throw std::invalid_argument("--workers needs a positive integer");
+        }
+      } else {
+        args.push_back(argv[i]);
+      }
     }
-    args.push_back(argv[i]);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << argv[0] << ": " << e.what() << "\n";
+    return 2;
   }
 
   bench::Runner runner(static_cast<int>(args.size()), args.data(),
@@ -156,7 +175,7 @@ int main(int argc, char** argv) {
                        "over one shared routing oracle",
                        /*default_trials=*/1);
   const std::vector<Tier> tiers = smoke ? smoke_tiers() : full_tiers();
-  runner.config().set("shards", runner.options().shards);
+  runner.config().set("workers", workers);
   for (const Tier& tier : tiers) {
     const int nodes = tier.topo.transit_nodes +
                       tier.topo.transit_nodes * tier.topo.stubs_per_transit *
@@ -192,12 +211,12 @@ int main(int argc, char** argv) {
                   static_cast<std::ptrdiff_t>(
                       topo.nodes_of_domain[net::kTransitDomain].size())));
 
-      // The sequential reference for shard_gain: same tier, same seed,
-      // one shard. Only run when sharding is on — it doubles tier cost.
+      // The one-worker reference for worker_gain: same tier, same seed.
+      // Only run with several workers — it doubles tier cost.
       double seq_secs = 0.0;
-      if (ctx.shards > 1) {
+      if (workers > 1) {
         eval::MultiSessionParams seq_params = tier.sessions;
-        seq_params.shards = 1;
+        seq_params.workers = 1;
         eval::MultiSessionDriver seq_driver(topo.graph, seq_params);
         const auto s0 = std::chrono::steady_clock::now();
         const eval::MultiSessionReport seq_report =
@@ -208,7 +227,7 @@ int main(int argc, char** argv) {
       }
 
       eval::MultiSessionParams params = tier.sessions;
-      params.shards = ctx.shards;
+      params.workers = workers;
       eval::MultiSessionDriver driver(topo.graph, params);
       const auto t0 = std::chrono::steady_clock::now();
       const eval::MultiSessionReport report =
@@ -233,8 +252,8 @@ int main(int argc, char** argv) {
       rec.add(prefix + "/joins_per_sec",
               secs > 0.0 ? static_cast<double>(report.join_ops) / secs : 0.0);
       rec.add(prefix + "/wall_s", secs);
-      if (ctx.shards > 1 && secs > 0.0) {
-        rec.add(prefix + "/shard_gain", seq_secs / secs);
+      if (workers > 1 && secs > 0.0) {
+        rec.add(prefix + "/worker_gain", seq_secs / secs);
       }
       if (const std::optional<double> rss = peak_rss_mb()) {
         rec.add(prefix + "/peak_rss_mb", *rss);
@@ -255,7 +274,7 @@ int main(int argc, char** argv) {
   for (const Tier& tier : tiers) {
     const std::string p = tier.name;
     const eval::Summary rss = res.summary(p + "/peak_rss_mb");
-    const eval::Summary gain = res.summary(p + "/shard_gain");
+    const eval::Summary gain = res.summary(p + "/worker_gain");
     table.add_row({p, eval::Table::fixed(res.summary(p + "/det_members").mean, 0),
                    eval::Table::fixed(res.summary(p + "/det_tree_links").mean, 0),
                    eval::Table::fixed(res.summary(p + "/det_joins").mean, 0),

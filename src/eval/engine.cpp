@@ -118,7 +118,6 @@ EngineResult run_trials(const EngineOptions& options,
       const int i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= options.trials) return;
       TrialContext ctx{i, trial_seed(options.seed, i),
-                       options.shards < 1 ? 1 : options.shards,
                        recorders[static_cast<std::size_t>(i)]};
       try {
         body(ctx);

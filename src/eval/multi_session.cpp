@@ -112,14 +112,13 @@ std::vector<net::NodeId> MultiSessionDriver::resolve_pool(
 
 void MultiSessionDriver::build_and_churn(Session& s, net::NodeId source,
                                          net::Rng& rng,
-                                         net::RoutingOracle* oracle,
                                          MultiSessionReport& report) {
   const net::NodeId node_count = g_->node_count();
   if (params_.engine == SessionEngine::kSmrp) {
     s.smrp = std::make_unique<proto::SmrpTreeBuilder>(*g_, source,
-                                                      params_.smrp, oracle);
+                                                      params_.smrp, &oracle_);
   } else {
-    s.spf = std::make_unique<baseline::SpfTreeBuilder>(*g_, source, oracle);
+    s.spf = std::make_unique<baseline::SpfTreeBuilder>(*g_, source, &oracle_);
   }
   // Zipf size via the shared CDF table.
   const double target = rng.uniform() * zipf_cdf_.back();
@@ -178,112 +177,41 @@ MultiSessionReport MultiSessionDriver::finalize(
 MultiSessionReport MultiSessionDriver::run_seeded(
     std::uint64_t seed, const std::vector<net::NodeId>& source_pool) {
   if (!sessions_.empty()) {
-    throw std::logic_error("MultiSessionDriver::run called twice");
+    throw std::logic_error("MultiSessionDriver::run_seeded called twice");
   }
   if (g_->node_count() < 2) throw std::invalid_argument("graph too small");
   const std::vector<net::NodeId> pool = resolve_pool(source_pool);
 
-  const int shards = std::clamp(params_.shards, 1, params_.sessions);
+  const int workers = std::clamp(params_.workers, 1, params_.sessions);
   sessions_.resize(static_cast<std::size_t>(params_.sessions));
 
   std::vector<MultiSessionReport> partials(
-      static_cast<std::size_t>(shards));
+      static_cast<std::size_t>(workers));
   auto worker = [&](int w) {
     MultiSessionReport& local = partials[static_cast<std::size_t>(w)];
-    // Round-robin deal: session i belongs to worker i % shards, and its
+    // Round-robin deal: session i belongs to worker i % workers, and its
     // entire random stream is trial_seed(seed, i) — ownership, worker
     // count, and completion order leave no trace in the outcome. Every
     // worker routes through the driver's one lock-striped oracle, so an
     // SPF snapshot is computed once run-wide no matter which worker
     // needs it first (DESIGN.md §16).
-    for (int i = w; i < params_.sessions; i += shards) {
+    for (int i = w; i < params_.sessions; i += workers) {
       net::Rng rng(trial_seed(seed, i));
       build_and_churn(sessions_[static_cast<std::size_t>(i)],
                       pool[static_cast<std::size_t>(i) % pool.size()], rng,
-                      &oracle_, local);
+                      local);
     }
   };
 
-  if (shards == 1) {
+  if (workers == 1) {
     worker(0);
   } else {
     std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(shards));
-    for (int w = 0; w < shards; ++w) threads.emplace_back(worker, w);
+    threads.reserve(static_cast<std::size_t>(workers));
+    for (int w = 0; w < workers; ++w) threads.emplace_back(worker, w);
     for (std::thread& t : threads) t.join();
   }
   return finalize(std::move(partials));
-}
-
-MultiSessionReport MultiSessionDriver::run(
-    net::Rng& rng, const std::vector<net::NodeId>& source_pool) {
-  if (!sessions_.empty()) {
-    throw std::logic_error("MultiSessionDriver::run called twice");
-  }
-  const net::NodeId node_count = g_->node_count();
-  if (node_count < 2) throw std::invalid_argument("graph too small");
-  const std::vector<net::NodeId> pool = resolve_pool(source_pool);
-
-  report_ = MultiSessionReport{};
-  report_.sessions = params_.sessions;
-  sessions_.resize(static_cast<std::size_t>(params_.sessions));
-
-  // Build phase: instantiate every session at its Zipf size.
-  for (int i = 0; i < params_.sessions; ++i) {
-    Session& s = sessions_[static_cast<std::size_t>(i)];
-    const net::NodeId source = pool[static_cast<std::size_t>(i) % pool.size()];
-    if (params_.engine == SessionEngine::kSmrp) {
-      s.smrp = std::make_unique<proto::SmrpTreeBuilder>(*g_, source,
-                                                        params_.smrp, &oracle_);
-    } else {
-      s.spf = std::make_unique<baseline::SpfTreeBuilder>(*g_, source, &oracle_);
-    }
-    // Zipf size via the shared CDF table.
-    const double target = rng.uniform() * zipf_cdf_.back();
-    int size = params_.min_session_size;
-    for (std::size_t k = 0; k < zipf_cdf_.size(); ++k) {
-      if (zipf_cdf_[k] >= target) {
-        size = params_.min_session_size + static_cast<int>(k);
-        break;
-      }
-    }
-    int joined = 0;
-    // Random distinct members; bounded retries so a tiny graph cannot
-    // stall the build when the session size nears the node count.
-    for (int attempt = 0; joined < size && attempt < 4 * size + 16;
-         ++attempt) {
-      const auto member = static_cast<net::NodeId>(
-          rng.below(static_cast<std::uint64_t>(node_count)));
-      if (try_join(s, member, report_)) ++joined;
-    }
-  }
-
-  // Churn phase: independent Poisson event counts per session.
-  for (Session& s : sessions_) {
-    const int events = sample_poisson(rng, params_.churn_events_per_session);
-    for (int e = 0; e < events; ++e) {
-      ++report_.churn_events;
-      const bool do_join = s.members.empty() || rng.uniform() < 0.5;
-      if (do_join) {
-        const auto member = static_cast<net::NodeId>(
-            rng.below(static_cast<std::uint64_t>(node_count)));
-        static_cast<void>(try_join(s, member, report_));
-      } else {
-        leave(s, rng.below(s.members.size()), report_);
-      }
-    }
-  }
-
-  // Aggregate the resident state.
-  for (const Session& s : sessions_) {
-    const mcast::MulticastTree& tree =
-        s.smrp ? s.smrp->tree() : s.spf->tree();
-    report_.aggregate_members += tree.member_count();
-    report_.tree_links += static_cast<std::int64_t>(tree.tree_links().size());
-    report_.total_tree_cost += tree.total_cost();
-  }
-  report_.oracle = oracle_.stats();
-  return report_;
 }
 
 }  // namespace smrp::eval

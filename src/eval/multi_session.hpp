@@ -20,8 +20,9 @@
 // source joins off the shared source snapshot, O(path + depth) per join:
 // a parent-pointer walk and one graft) for the tiers where SMRP's
 // per-join search is not the thing being measured.
-// Everything is driven from one caller-provided Rng, so a (seed, params)
-// pair reproduces the run bit-for-bit.
+// Session i draws every random decision from its own stream,
+// trial_seed(seed, i), so a (seed, params) pair reproduces the run
+// bit-for-bit at any worker count.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +47,7 @@ enum class SessionEngine {
 struct MultiSessionParams {
   int sessions = 32;
   /// Distinct sources the sessions cycle through (ignored when an
-  /// explicit pool is passed to run()). Clamped to the node count.
+  /// explicit pool is passed to run_seeded()). Clamped to the node count.
   int source_pool = 16;
   /// Zipf(s) session sizes over [min_session_size, max_session_size]:
   /// P(size = min+k) ∝ (k+1)^-s.
@@ -58,15 +59,15 @@ struct MultiSessionParams {
   double churn_events_per_session = 4.0;
   SessionEngine engine = SessionEngine::kSmrp;
   proto::SmrpConfig smrp{};
-  /// Shard workers for run_seeded() (DESIGN.md §15, §16): sessions are
+  /// Worker threads for run_seeded() (DESIGN.md §14, §16): sessions are
   /// dealt round-robin to this many workers, all routing through the
   /// driver's ONE lock-striped RoutingOracle. Session outcomes derive
   /// only from per-session RNG streams and the (deterministic) oracle
   /// answers, so every aggregate — including total oracle lookups — is
   /// byte-identical for any value; only the cache hit/miss split moves
   /// (a snapshot one worker computes is a hit for every other). Clamped
-  /// to [1, sessions]; ignored by the legacy single-stream run().
-  int shards = 1;
+  /// to [1, sessions].
+  int workers = 1;
 };
 
 /// Everything the scale bench reports, all derived deterministically from
@@ -105,18 +106,15 @@ class MultiSessionDriver {
   /// concurrent-session footprint resident). `source_pool`, when
   /// non-empty, supplies the session sources (cycled round-robin);
   /// otherwise `params.source_pool` ids evenly spread over the graph.
-  MultiSessionReport run(net::Rng& rng,
-                         const std::vector<net::NodeId>& source_pool = {});
-
-  /// Sharded counterpart of run(): session i draws every random decision
-  /// from its own stream (trial_seed(seed, i)), sessions are dealt
-  /// round-robin to params.shards workers, and ALL workers route through
-  /// the driver's shared lock-striped oracle — identical (source,
-  /// exclusion) snapshots are computed once run-wide, not once per
-  /// worker. All deterministic aggregates (members, joins, links, costs,
-  /// oracle lookups) are byte-identical for any shard count — only the
-  /// hit/miss split varies with scheduling. One driver runs exactly once
-  /// (run() or run_seeded()).
+  ///
+  /// Session i draws every random decision from its own stream
+  /// (trial_seed(seed, i)), sessions are dealt round-robin to
+  /// params.workers threads, and ALL workers route through the driver's
+  /// shared lock-striped oracle — identical (source, exclusion)
+  /// snapshots are computed once run-wide, not once per worker. All
+  /// deterministic aggregates (members, joins, links, costs, oracle
+  /// lookups) are byte-identical for any worker count — only the
+  /// hit/miss split varies with scheduling. One driver runs exactly once.
   MultiSessionReport run_seeded(std::uint64_t seed,
                                 const std::vector<net::NodeId>& source_pool = {});
 
@@ -146,17 +144,17 @@ class MultiSessionDriver {
   [[nodiscard]] std::vector<net::NodeId> resolve_pool(
       const std::vector<net::NodeId>& source_pool) const;
   /// Instantiate one session (engine + Zipf-sized build) and churn it,
-  /// recording into `report` only — the sharded workers' unit of work.
+  /// recording into `report` only — the workers' unit of work.
   void build_and_churn(Session& s, net::NodeId source, net::Rng& rng,
-                       net::RoutingOracle* oracle, MultiSessionReport& report);
-  /// Fold the per-shard partial reports, the resident session state, and
+                       MultiSessionReport& report);
+  /// Fold the per-worker partial reports, the resident session state, and
   /// the shared oracle's counters into report_ (deterministic order:
-  /// shard index, then session index).
+  /// worker index, then session index).
   MultiSessionReport finalize(std::vector<MultiSessionReport> partials);
 
   const net::Graph* g_;
   MultiSessionParams params_;
-  net::RoutingOracle oracle_;  ///< shared by run() and every run_seeded worker
+  net::RoutingOracle oracle_;  ///< shared by every run_seeded() worker
   std::vector<Session> sessions_;
   std::vector<double> zipf_cdf_;  ///< cumulative, built once per driver
   MultiSessionReport report_;

@@ -273,9 +273,10 @@ RuleSet RuleSet::load(const std::string& path_or_core) {
 
 std::string_view RuleSet::smrp_core_text() {
   // The SMRP conformance contract (rationale in DESIGN.md §12). Every rule
-  // is mutation-tested: the legacy protocol, the forward-everything guard,
-  // and the ring-budget-ignoring repair each trip at least one of these
-  // under the 50-fault chaos soak, while the hardened protocol passes all.
+  // is mutation-tested: each SessionConfig::Mutations flag — the legacy
+  // repair path, the forward-everything guard, and the ring-budget-
+  // ignoring repair — trips at least one of these under the 50-fault
+  // chaos soak, while the unmutated protocol passes all.
   return
       "# SMRP core protocol expectations\n"
       "# Every outage must resolve: restored (ok) or mooted by a prune /\n"

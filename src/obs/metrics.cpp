@@ -139,18 +139,4 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
   }
 }
 
-void MetricsRegistry::merge_sharded(const MetricsRegistry& other, int shard) {
-  const std::string suffix = ".shard" + std::to_string(shard);
-  for (const auto& [name, c] : other.counters_) counters_[name].merge(c);
-  for (const auto& [name, g] : other.gauges_) gauges_[name + suffix].merge(g);
-  for (const auto& [name, h] : other.histograms_) {
-    const auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-      histograms_.emplace(name, h);
-    } else {
-      it->second.merge(h);
-    }
-  }
-}
-
 }  // namespace smrp::obs

@@ -1,6 +1,5 @@
 #include "sim/network.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -161,44 +160,12 @@ bool SimNetwork::send(NodeId from, NodeId to, Message message) {
     trace(TraceKind::kDrop, from, to, message);
     return true;
   }
-  if (router_ != nullptr && router_->is_remote(shard_index_, to)) {
-    // Cross-shard hop: the destination's wheel belongs to another thread,
-    // so hand the (already tx-accounted) message to the router with its
-    // arrival time; the barrier drain schedules it over there.
-    if (hop_latency_hist_ != nullptr) {
-      hop_latency_hist_->record(link_latency(*link));
-    }
-    router_->enqueue(shard_index_, from, to, *link,
-                     simulator_->now() + link_latency(*link),
-                     std::move(message));
-    return true;
-  }
   const std::uint32_t envelope = acquire_envelope();
   Envelope& e = envelopes_[envelope];
   e.message = std::move(message);
   e.from = from;
   deliver_later(envelope, to, *link);
   return true;
-}
-
-void SimNetwork::deliver_at(NodeId from, NodeId to, LinkId link, Time when,
-                            const Message& message) {
-  const std::uint32_t envelope = acquire_envelope();
-  Envelope& e = envelopes_[envelope];
-  e.message = message;
-  e.from = from;
-  if (pool_envelopes_gauge_ != nullptr) {
-    pool_envelopes_gauge_->set(static_cast<double>(envelopes_.size()));
-    pool_free_gauge_->set(static_cast<double>(free_envelopes_));
-  }
-  // Inside a run the conservative window bound guarantees `when` is ahead
-  // of this shard's clock. Sends issued *between* runs, though, carry the
-  // source shard's (possibly lagging) clock, so clamp to local now —
-  // "as soon as possible, never earlier than computed".
-  simulator_->schedule_at(std::max(when, simulator_->now()),
-                          [this, envelope, to, link] {
-    deliver(envelope, to, link);
-  });
 }
 
 int SimNetwork::broadcast(NodeId from, const Message& message) {
@@ -218,17 +185,6 @@ int SimNetwork::broadcast(NodeId from, const Message& message) {
         loss_rng_.uniform() < config_.loss_probability) {
       ++dropped_;  // transient loss: vanishes on the wire
       trace(TraceKind::kDrop, from, adj.neighbor, message);
-      continue;
-    }
-    if (router_ != nullptr && router_->is_remote(shard_index_, adj.neighbor)) {
-      // Envelope sharing stops at the shard boundary: remote hops copy
-      // into the router queue, local hops keep sharing one envelope.
-      if (hop_latency_hist_ != nullptr) {
-        hop_latency_hist_->record(link_latency(adj.link));
-      }
-      router_->enqueue(shard_index_, from, adj.neighbor, adj.link,
-                       simulator_->now() + link_latency(adj.link), message);
-      ++admitted;
       continue;
     }
     if (envelope == kNoEnvelope) {

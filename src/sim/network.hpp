@@ -36,24 +36,6 @@ struct NetworkConfig {
   std::uint64_t loss_seed = 0x10551055ULL;
 };
 
-/// Cross-shard egress hook for the sharded mode (DESIGN.md §15). When a
-/// SimNetwork is one shard of a ShardedSimNetwork, sends whose destination
-/// another shard owns are handed to the router (with the precomputed
-/// arrival time) instead of being scheduled locally; the coordinator
-/// drains the queues at window barriers via deliver_at() on the owning
-/// shard's network.
-class CrossShardRouter {
- public:
-  virtual ~CrossShardRouter() = default;
-  /// True when `to` is owned by a shard other than `src_shard`.
-  [[nodiscard]] virtual bool is_remote(int src_shard,
-                                       NodeId to) const noexcept = 0;
-  /// Queue one cross-shard hop; `when` is the absolute arrival time
-  /// (send time + link latency, so ≥ window start + lookahead).
-  virtual void enqueue(int src_shard, NodeId from, NodeId to, LinkId link,
-                       Time when, const Message& message) = 0;
-};
-
 class SimNetwork {
  public:
   using Handler = std::function<void(NodeId from, const Message&)>;
@@ -98,22 +80,6 @@ class SimNetwork {
 
   /// Attach (or detach with nullptr) an event tracer; not owned.
   void set_tracer(Tracer* tracer) noexcept { tracer_ = tracer; }
-
-  /// Attach (or detach with nullptr) the cross-shard egress router; not
-  /// owned. `my_shard` is this network's shard index, passed back on every
-  /// router call so one router instance can serve all shards.
-  void set_cross_shard(CrossShardRouter* router, int my_shard) noexcept {
-    router_ = router;
-    shard_index_ = my_shard;
-  }
-
-  /// Ingress side of a cross-shard hop: materialise the message on this
-  /// (destination) shard and schedule its delivery at the absolute arrival
-  /// time the sender computed. Called by the sharded coordinator at window
-  /// barriers, in deterministic (when, src_shard, seq) order; the tx
-  /// accounting already happened on the sending shard.
-  void deliver_at(NodeId from, NodeId to, LinkId link, Time when,
-                  const Message& message);
 
   /// Attach (or detach with nullptr) the telemetry bundle; not owned.
   /// Maintains per-message-type tx/rx/drop counters in the registry
@@ -175,8 +141,6 @@ class SimNetwork {
   std::vector<char> node_up_;
   net::Rng loss_rng_;
   Tracer* tracer_ = nullptr;
-  CrossShardRouter* router_ = nullptr;
-  int shard_index_ = 0;
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;

@@ -327,49 +327,6 @@ std::size_t Simulator::run_until(Time until) {
   return fired;
 }
 
-std::size_t Simulator::run_before(Time bound) {
-  // fire_next's limit is inclusive; the largest double below `bound` makes
-  // it exclusive. nextafter(inf, -inf) is the max finite double, so an
-  // unbounded window degrades to run-everything as intended.
-  const Time limit =
-      std::nextafter(bound, -std::numeric_limits<Time>::infinity());
-  std::size_t fired = 0;
-  while (fire_next(limit)) ++fired;
-  return fired;
-}
-
-Time Simulator::next_event_when() {
-  // The ready heap (current bucket, plus anything scheduled at or behind
-  // the cursor) always holds the global minimum when it is non-empty:
-  // wheel residents are at strictly later ticks and far residents beyond
-  // the horizon, and tick_of is monotone in `when`.
-  while (!ready_.empty()) {
-    const HeapEntry top = ready_.front();
-    if (slots_[top.slot].state != State::kDead) return top.when;
-    pop_heap_entry(ready_);
-    release_slot(top.slot);
-  }
-  if (near_count_ > 0) {
-    // Wheel-resident cancels unlink eagerly, so the bucket list is all
-    // live; the next occupied bucket holds one revolution only.
-    const std::uint64_t tick = next_occupied_tick();
-    const auto bucket = static_cast<std::uint32_t>(tick & kWheelMask);
-    Time best = std::numeric_limits<Time>::infinity();
-    for (std::uint32_t slot = bucket_head_[bucket]; slot != kNull;
-         slot = slots_[slot].next) {
-      best = std::min(best, slots_[slot].when);
-    }
-    return best;
-  }
-  while (!far_.empty()) {
-    const HeapEntry top = far_.front();
-    if (slots_[top.slot].state != State::kDead) return top.when;
-    pop_heap_entry(far_);
-    release_slot(top.slot);
-  }
-  return std::numeric_limits<Time>::infinity();
-}
-
 std::size_t Simulator::run_all(std::size_t max_events) {
   std::size_t fired = 0;
   while (fired < max_events &&

@@ -70,20 +70,6 @@ class Simulator {
   /// events processed by this call.
   std::size_t run_until(Time until);
 
-  /// Run every event with `when` strictly before `bound` (half-open — the
-  /// window primitive of the sharded mode, DESIGN.md §15). Unlike
-  /// run_until this never drags the clock or the wheel cursor to `bound`:
-  /// the clock stays at the last fired event, so a later schedule_at() of
-  /// a cross-shard arrival ≥ `bound` is always valid. Returns the number
-  /// of events processed.
-  std::size_t run_before(Time bound);
-
-  /// Fire time of the earliest live pending event, or +inf when idle.
-  /// Pure observation apart from pruning cancelled heap heads (which can
-  /// never fire anyway); used by the sharded coordinator to skip windows
-  /// with no work.
-  [[nodiscard]] Time next_event_when();
-
   /// Run everything (with a safety cap to catch runaway schedules).
   std::size_t run_all(std::size_t max_events = 10'000'000);
 

@@ -492,7 +492,7 @@ void DistributedSession::maintenance(net::NodeId n) {
   }
   if (s.observed_down) {
     s.observed_down = false;
-    if (config_.hardened) {
+    if (hardened()) {
       // First tick after a crash-restart: wipe and (if a member) rejoin
       // rather than trusting pre-crash parent/children pointers.
       restart_agent(n);
@@ -533,7 +533,7 @@ void DistributedSession::maintenance(net::NodeId n) {
             : false;
     const bool data_dead =
         s.last_data >= 0.0 && now - s.last_data > config_.upstream_timeout;
-    const bool in_grace = config_.hardened && now <= s.repair_grace;
+    const bool in_grace = hardened() && now <= s.repair_grace;
     if ((upstream_dead || data_dead) && !in_grace) {
       react_to_dead_upstream(n);
     }
@@ -727,7 +727,7 @@ void DistributedSession::react_to_dead_upstream(net::NodeId n) {
   AgentState& s = agent(n);
   tl_open_outage(n);  // detection instant; idempotent while already open
   if (config_.mode == SessionConfig::Mode::kSmrp) {
-    if (config_.hardened && s.stranded) {
+    if (hardened() && s.stranded) {
       // Partition give-up: stop flooding repair rings into a dead
       // partition; rejoin as soon as the IGP re-learns a route to the
       // source (the heal signal).
@@ -752,7 +752,7 @@ Time DistributedSession::watchdog_window() const noexcept {
 void DistributedSession::data_watchdog(net::NodeId n) {
   AgentState& s = agent(n);
   s.watchdog_armed = false;
-  if (!config_.hardened || n == source_) return;
+  if (!hardened() || n == source_) return;
   if (!network_->node_up(n) || !s.on_tree || s.parent == net::kNoNode) return;
   if (s.last_data < 0.0) return;
   const Time now = simulator_->now();
@@ -782,7 +782,7 @@ void DistributedSession::start_repair(net::NodeId n) {
   // data resets it — so a neighborhood where grafts keep "succeeding"
   // without restoring service escalates to the routed fallback instead of
   // re-flooding ring 1 forever. Legacy restarts every episode from 1.
-  if (!config_.hardened) s.repair_ttl = 1;
+  if (!hardened()) s.repair_ttl = 1;
   s.repair_ring = 0;
   ++repairs_started_;
   if (telemetry_ != nullptr) {
@@ -843,7 +843,7 @@ void DistributedSession::repair_give_up(net::NodeId n, bool adaptive) {
       t->rings_episode = 0;
     }
   }
-  if (!config_.hardened) return;  // legacy: give up; maintenance retries
+  if (!hardened()) return;  // legacy: give up; maintenance retries
   // Repair deadline hit: no on-tree node with live service inside the
   // ring budget, so the detour — if one exists at all — is not local.
   // Fall back to a routed (global) join; if even the IGP has no route,
@@ -887,7 +887,7 @@ void DistributedSession::fire_repair_ring(net::NodeId n) {
   // Abort the escalation and take the global detour now instead of
   // burning the rest of the budget. Requires one unanswered ring so a
   // genuinely local detour still wins the race it is built to win.
-  if (config_.adaptive_triggers && config_.hardened && s.repair_ring >= 1 &&
+  if (config_.adaptive_triggers && hardened() && s.repair_ring >= 1 &&
       conv_routing_quiet(n, simulator_->now()) &&
       routing_->has_route(n, source_)) {
     repair_give_up(n, /*adaptive=*/true);
@@ -919,7 +919,7 @@ void DistributedSession::fire_repair_ring(net::NodeId n) {
   // can reach it, and it must widen forever without overflowing.
   s.repair_ttl = s.repair_ttl >= (1 << 20) ? (1 << 20) : s.repair_ttl * 2;
   Time pacing = config_.repair_retry;
-  if (config_.hardened) {
+  if (hardened()) {
     // Exponential backoff gives ring k time proportional to its radius
     // before the next (wider) flood; deterministic jitter decorrelates
     // the retry storms of neighbors that lost the same upstream.
@@ -983,7 +983,7 @@ void DistributedSession::on_join(net::NodeId at, net::NodeId from,
     if (it == msg.path.end()) return;  // stray
     const auto index = static_cast<std::size_t>(it - msg.path.begin());
     if (index + 1 >= msg.path.size()) return;  // merge point reached
-    if (s.on_tree && (!config_.hardened || upstream_alive(at))) {
+    if (s.on_tree && (!hardened() || upstream_alive(at))) {
       // Graft hit served tree early: stop. The legacy protocol stops at
       // ANY on-tree hop — anchoring branches at service-dead nodes, which
       // can weld repair grafts into persistent parent cycles (the exact
@@ -1086,7 +1086,7 @@ void DistributedSession::on_data(net::NodeId at, net::NodeId from,
   s.repair_ttl = 1;    // genuine service resets the ring escalation
   s.repair_ring = 0;
   s.repair_grace = -1.0;
-  if (config_.hardened && !s.watchdog_armed) {
+  if (hardened() && !s.watchdog_armed) {
     s.watchdog_armed = true;
     simulator_->schedule(watchdog_window(), [this, at] { data_watchdog(at); });
   }
@@ -1201,7 +1201,7 @@ void DistributedSession::on_repair_resp(net::NodeId at,
   // the interior and registers us at the responder.
   send_join_along(at, msg.path);
   s.last_upstream = simulator_->now();
-  if (config_.hardened) {
+  if (hardened()) {
     // Let the graft settle before re-declaring the upstream dead, but do
     // NOT fake data freshness: a node that merely grafted must not serve
     // other repairs as if it were receiving — that optimism lets two dead

@@ -45,13 +45,6 @@ struct SessionConfig {
   Time repair_retry = 80.0;         ///< base expanding-ring pacing (SMRP)
   int max_repair_ttl = 16;          ///< ring search cap
   int join_ttl = 64;                ///< hop budget for routed (PIM) joins
-  /// Hardened repair path (chaos survival): exponential backoff with
-  /// jitter between repair rings, fallback from the exhausted ring search
-  /// to a routed (global) join, crash-restart re-join, and partition-aware
-  /// stranding with automatic rejoin once the IGP heals. `false` reverts
-  /// to the pre-hardening behaviour (fixed pacing, silent give-up) and
-  /// exists for A/B comparison in the chaos regression suite.
-  bool hardened = true;
   double repair_backoff = 2.0;  ///< ring-pacing multiplier per ring
   double repair_jitter = 0.25;  ///< ± fraction of pacing jitter per ring
   std::uint64_t jitter_seed = 0xc4a05c4a05ULL;  ///< repair-jitter RNG seed
@@ -83,9 +76,9 @@ struct SessionConfig {
   /// Off by default — the baseline keeps the timer behaviour for A/B.
   bool adaptive_triggers = false;
   enum class Mode { kSmrp, kPimSpf } mode = Mode::kSmrp;
-  /// Test-only protocol mutations for the expectations gate: each one
-  /// breaks exactly one safety property the core ruleset (obs/expect)
-  /// must catch under chaos. Never enable outside tests.
+  /// Test-only protocol mutations: each one breaks the protocol in one
+  /// known way that a test must catch — the core ruleset (obs/expect) or
+  /// the chaos soak's service check. Never enable outside tests.
   struct Mutations {
     /// Drop the on-tree/from-parent acceptance guard: any node that hears
     /// a payload floods it to all its neighbors (dedup by seq only).
@@ -93,6 +86,10 @@ struct SessionConfig {
     /// Ignore max_repair_ttl: the expanding-ring search keeps widening
     /// forever instead of failing over to the routed join.
     bool ignore_ring_budget = false;
+    /// Revert to the pre-hardening repair path (fixed ring pacing, silent
+    /// give-up at the ring budget; DESIGN.md §7): the chaos soak's
+    /// must-fail reference.
+    bool legacy_repair = false;
   } mutations;
 };
 
@@ -240,6 +237,15 @@ class DistributedSession {
   }
 
  private:
+  /// The hardened repair path (DESIGN.md §7): backoff with jitter between
+  /// repair rings, fallback from the exhausted ring search to a routed
+  /// join, crash-restart re-join, and partition-aware stranding with
+  /// automatic rejoin once the IGP heals. Off only under the test-only
+  /// legacy_repair mutation.
+  [[nodiscard]] bool hardened() const noexcept {
+    return !config_.mutations.legacy_repair;
+  }
+
   /// Telemetry-side shadow state, deliberately OUTSIDE AgentState: a
   /// crash-restart wipes the agent's soft state, but the observer must
   /// keep its open spans (the outage spans the crash caused) and the

@@ -57,7 +57,8 @@ class InvariantChecker {
 
 /// Conservative upper bound (ms) on the time from "last fault healed" to
 /// "every member still connected to the source receives data again",
-/// assuming the hardened repair path: failure detection, the full
+/// for the hardened repair path (not the test-only legacy_repair
+/// mutation, which may never restore it): failure detection, the full
 /// expanding-ring schedule with backoff and jitter, the routed-join
 /// fallback, IGP reconvergence for stranded members, and soft-state /
 /// SHR re-propagation across the tree depth. Computable from the configs

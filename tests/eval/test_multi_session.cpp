@@ -35,8 +35,7 @@ TEST(MultiSessionDriver, BuildsLiveSessionsUnderBothEngines) {
   for (const SessionEngine engine :
        {SessionEngine::kSmrp, SessionEngine::kSpf}) {
     MultiSessionDriver driver(g, small_params(engine));
-    net::Rng rng(7);
-    const MultiSessionReport r = driver.run(rng);
+    const MultiSessionReport r = driver.run_seeded(7);
     EXPECT_EQ(r.sessions, 12);
     EXPECT_EQ(driver.session_count(), 12);
     EXPECT_GT(r.aggregate_members, 0);
@@ -57,13 +56,11 @@ TEST(MultiSessionDriver, SameSeedSameReport) {
     MultiSessionReport a, b;
     {
       MultiSessionDriver driver(g, small_params(engine));
-      net::Rng rng(99);
-      a = driver.run(rng);
+      a = driver.run_seeded(99);
     }
     {
       MultiSessionDriver driver(g, small_params(engine));
-      net::Rng rng(99);
-      b = driver.run(rng);
+      b = driver.run_seeded(99);
     }
     EXPECT_EQ(a.aggregate_members, b.aggregate_members);
     EXPECT_EQ(a.join_ops, b.join_ops);
@@ -81,8 +78,7 @@ TEST(MultiSessionDriver, SharedSourcePoolSharesOracleSnapshots) {
   // computed at most once per source, every later session is a hit.
   const net::Graph g = small_waxman(44);
   MultiSessionDriver driver(g, small_params(SessionEngine::kSpf));
-  net::Rng rng(5);
-  const MultiSessionReport r = driver.run(rng);
+  const MultiSessionReport r = driver.run_seeded(5);
   EXPECT_LE(r.oracle.full_runs, 4u);
   EXPECT_GT(r.oracle.cache_hits, 0u);
   EXPECT_EQ(r.oracle.lookups, r.oracle.cache_hits + r.oracle.cache_misses);
@@ -96,11 +92,10 @@ TEST(MultiSessionDriver, HonoursExplicitSourcePool) {
   MultiSessionParams p = small_params(SessionEngine::kSpf);
   p.sessions = 6;
   MultiSessionDriver driver(topo.graph, p);
-  net::Rng rng(3);
   // Entry 0 is the (gateway-less) transit core; stub gateways start at 1.
   const std::vector<net::NodeId> pool = {topo.gateway_of_domain[1],
                                          topo.gateway_of_domain[2]};
-  const MultiSessionReport r = driver.run(rng, pool);
+  const MultiSessionReport r = driver.run_seeded(3, pool);
   for (int i = 0; i < driver.session_count(); ++i) {
     const net::NodeId s = driver.session_tree(i).source();
     EXPECT_TRUE(s == pool[0] || s == pool[1]) << "session " << i;
@@ -111,9 +106,8 @@ TEST(MultiSessionDriver, HonoursExplicitSourcePool) {
 TEST(MultiSessionDriver, RunTwiceThrows) {
   const net::Graph g = small_waxman(45);
   MultiSessionDriver driver(g, small_params(SessionEngine::kSpf));
-  net::Rng rng(1);
-  driver.run(rng);
-  EXPECT_THROW(driver.run(rng), std::logic_error);
+  driver.run_seeded(1);
+  EXPECT_THROW(driver.run_seeded(1), std::logic_error);
 }
 
 TEST(MultiSessionSampling, ZipfStaysInRangeAndSkewsSmall) {
@@ -131,9 +125,9 @@ TEST(MultiSessionSampling, ZipfStaysInRangeAndSkewsSmall) {
   EXPECT_GT(small, kDraws / 2);
 }
 
-TEST(MultiSessionDriver, RunSeededIsShardInvariant) {
-  // The DESIGN.md §15/§16 contract bench_scale's det_* gate rides on:
-  // every deterministic aggregate is byte-identical for any shard count,
+TEST(MultiSessionDriver, RunSeededIsWorkerInvariant) {
+  // The DESIGN.md §14/§16 contract bench_scale's det_* gate rides on:
+  // every deterministic aggregate is byte-identical for any worker count,
   // because session i's whole random stream is trial_seed(seed, i) and
   // the ONE shared lock-striped oracle answers every lookup with a pure
   // function of its key. Total lookups are deterministic too; only the
@@ -148,30 +142,30 @@ TEST(MultiSessionDriver, RunSeededIsShardInvariant) {
       base = driver.run_seeded(0xD5ULL);
     }
     EXPECT_GT(base.aggregate_members, 0);
-    for (const int shards : {2, 3, 8}) {
+    for (const int workers : {2, 3, 8}) {
       MultiSessionParams p = small_params(engine);
-      p.shards = shards;
+      p.workers = workers;
       MultiSessionDriver driver(g, p);
       const MultiSessionReport r = driver.run_seeded(0xD5ULL);
-      EXPECT_EQ(r.aggregate_members, base.aggregate_members) << shards;
-      EXPECT_EQ(r.join_ops, base.join_ops) << shards;
-      EXPECT_EQ(r.leave_ops, base.leave_ops) << shards;
-      EXPECT_EQ(r.churn_events, base.churn_events) << shards;
-      EXPECT_EQ(r.tree_links, base.tree_links) << shards;
-      EXPECT_EQ(r.reshapes, base.reshapes) << shards;
-      EXPECT_EQ(r.fallback_joins, base.fallback_joins) << shards;
-      EXPECT_EQ(r.total_tree_cost, base.total_tree_cost) << shards;
-      EXPECT_EQ(r.oracle.lookups, base.oracle.lookups) << shards;
+      EXPECT_EQ(r.aggregate_members, base.aggregate_members) << workers;
+      EXPECT_EQ(r.join_ops, base.join_ops) << workers;
+      EXPECT_EQ(r.leave_ops, base.leave_ops) << workers;
+      EXPECT_EQ(r.churn_events, base.churn_events) << workers;
+      EXPECT_EQ(r.tree_links, base.tree_links) << workers;
+      EXPECT_EQ(r.reshapes, base.reshapes) << workers;
+      EXPECT_EQ(r.fallback_joins, base.fallback_joins) << workers;
+      EXPECT_EQ(r.total_tree_cost, base.total_tree_cost) << workers;
+      EXPECT_EQ(r.oracle.lookups, base.oracle.lookups) << workers;
       // Shared-cache counter invariants hold exactly under contention,
-      // and the dedup guarantee keeps misses within the single-shard
+      // and the dedup guarantee keeps misses within the single-worker
       // count (sharing can only convert misses into hits, never the
       // other way around).
       EXPECT_EQ(r.oracle.lookups, r.oracle.cache_hits + r.oracle.cache_misses)
-          << shards;
+          << workers;
       EXPECT_EQ(r.oracle.cache_misses,
                 r.oracle.incremental_repairs + r.oracle.full_runs)
-          << shards;
-      EXPECT_LE(r.oracle.cache_misses, base.oracle.cache_misses) << shards;
+          << workers;
+      EXPECT_LE(r.oracle.cache_misses, base.oracle.cache_misses) << workers;
       for (int i = 0; i < driver.session_count(); ++i) {
         ASSERT_NO_THROW(driver.session_tree(i).validate()) << "session " << i;
       }
@@ -180,12 +174,21 @@ TEST(MultiSessionDriver, RunSeededIsShardInvariant) {
 }
 
 TEST(MultiSessionDriver, RunSeededRunsOncePerDriver) {
+  // A refused second run leaves the first run's sessions resident and
+  // intact, with several workers as with one.
   const net::Graph g = small_waxman(45);
-  MultiSessionDriver driver(g, small_params(SessionEngine::kSpf));
-  driver.run_seeded(1);
-  EXPECT_THROW(driver.run_seeded(1), std::logic_error);
-  net::Rng rng(1);
-  EXPECT_THROW(driver.run(rng), std::logic_error);
+  MultiSessionParams p = small_params(SessionEngine::kSmrp);
+  p.workers = 3;
+  MultiSessionDriver driver(g, p);
+  const MultiSessionReport first = driver.run_seeded(1);
+  EXPECT_THROW(driver.run_seeded(2), std::logic_error);
+  ASSERT_EQ(driver.session_count(), p.sessions);
+  std::int64_t members = 0;
+  for (int i = 0; i < driver.session_count(); ++i) {
+    ASSERT_NO_THROW(driver.session_tree(i).validate()) << "session " << i;
+    members += driver.session_tree(i).member_count();
+  }
+  EXPECT_EQ(members, first.aggregate_members);
 }
 
 TEST(MultiSessionSampling, PoissonMatchesMeanRoughly) {

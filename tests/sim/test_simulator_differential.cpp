@@ -3,9 +3,8 @@
 // (src/sim/reference_simulator.hpp — the exact pre-wheel code) through
 // identical randomized schedule/cancel/run scripts and require
 // bit-identical firing order, firing times, and final clock state.
-// The script machinery is shared with the sharded-facade differential
-// suite (differential_script.hpp); the soak pushes ≥1e6 events through
-// both cores.
+// The script machinery lives in differential_script.hpp; the soak pushes
+// ≥1e6 events through both cores.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -4,8 +4,8 @@
 // zero violations — live audits throughout, the strict quiescent audit at
 // the end — and every member the surviving topology still connects to the
 // source receiving data. The same drill against the pre-hardening
-// protocol (SessionConfig::hardened = false) fails, which is the
-// regression guarantee this suite exists for.
+// protocol (the test-only SessionConfig::Mutations::legacy_repair) fails,
+// which is the regression guarantee this suite exists for.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,13 +42,13 @@ struct SoakResult {
 
 /// Run the standard 50-fault soak: 47 link flaps + 2 node crash/restarts
 /// + 1 loss burst on a 12-node ring, members at 3/6/9, source at 0.
-SoakResult run_soak(bool hardened, std::uint64_t seed = kSoakSeed) {
+SoakResult run_soak(bool legacy_repair, std::uint64_t seed = kSoakSeed) {
   const net::Graph g = soak_ring(12);
   const net::NodeId source = 0;
   const std::vector<net::NodeId> members{3, 6, 9};
 
   SessionConfig config;
-  config.hardened = hardened;
+  config.mutations.legacy_repair = legacy_repair;
   // Keep the ring search short of the worst-case detour (up to 11 hops
   // around) so exhausting it is a scenario the plan actually produces.
   config.max_repair_ttl = 4;
@@ -106,7 +106,7 @@ SoakResult run_soak(bool hardened, std::uint64_t seed = kSoakSeed) {
 }
 
 TEST(ChaosSoak, HardenedProtocolSurvivesFiftyFaults) {
-  const SoakResult result = run_soak(/*hardened=*/true);
+  const SoakResult result = run_soak(/*legacy_repair=*/false);
   EXPECT_TRUE(result.plan_drained);
   EXPECT_TRUE(result.live_violations.empty())
       << result.live_violations.front();
@@ -118,7 +118,7 @@ TEST(ChaosSoak, LegacyProtocolFailsTheSameDrill) {
   // The pre-hardening protocol trusts stale soft state across a
   // crash-restart and gives up ring searches silently; under the same
   // 50-fault plan it ends with members dark or state inconsistent.
-  const SoakResult result = run_soak(/*hardened=*/false);
+  const SoakResult result = run_soak(/*legacy_repair=*/true);
   const bool failed = !result.quiescent.ok() || result.starving_members > 0 ||
                       !result.live_violations.empty();
   EXPECT_TRUE(failed)
@@ -127,8 +127,8 @@ TEST(ChaosSoak, LegacyProtocolFailsTheSameDrill) {
 }
 
 TEST(ChaosSoak, SoakIsDeterministicInTheSeed) {
-  const SoakResult a = run_soak(/*hardened=*/true);
-  const SoakResult b = run_soak(/*hardened=*/true);
+  const SoakResult a = run_soak(/*legacy_repair=*/false);
+  const SoakResult b = run_soak(/*legacy_repair=*/false);
   EXPECT_EQ(a.quiescent.violations, b.quiescent.violations);
   EXPECT_EQ(a.live_violations, b.live_violations);
   EXPECT_EQ(a.starving_members, b.starving_members);
@@ -136,7 +136,7 @@ TEST(ChaosSoak, SoakIsDeterministicInTheSeed) {
 
 TEST(ChaosSoak, HardenedSurvivesAcrossSeeds) {
   for (const std::uint64_t seed : {1ull, 7ull, 1234ull}) {
-    const SoakResult result = run_soak(/*hardened=*/true, seed);
+    const SoakResult result = run_soak(/*legacy_repair=*/false, seed);
     EXPECT_TRUE(result.quiescent.ok())
         << "seed " << seed << ": " << result.quiescent.to_string();
     EXPECT_EQ(result.starving_members, 0) << "seed " << seed;

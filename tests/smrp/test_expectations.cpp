@@ -142,7 +142,7 @@ TEST(ExpectationsGate, LegacyProtocolTripsTheRuleset) {
   // stale state across restarts: under the soak it strands members, whose
   // outage spans the end-of-run flush then truncates.
   SessionConfig config = soak_config();
-  config.hardened = false;
+  config.mutations.legacy_repair = true;
   const GateRun run = run_gated_soak(config);
   EXPECT_FALSE(run.report.ok())
       << "the legacy mutant passed the core ruleset; the expectations "

@@ -70,10 +70,10 @@ class RingGiveUp : public ::testing::Test {
   static constexpr net::NodeId kMember = 5;
   static constexpr sim::Time kCutAt = 2'000.0;
 
-  InvariantReport run(bool hardened) {
+  InvariantReport run(bool legacy_repair) {
     const net::Graph g = ring_graph(10);
     SessionConfig config;
-    config.hardened = hardened;
+    config.mutations.legacy_repair = legacy_repair;
     config.max_repair_ttl = 4;  // the way around the ring is 5 hops
     SimulationHarness h(g, kSource, config);
     h.start();
@@ -92,13 +92,13 @@ class RingGiveUp : public ::testing::Test {
 };
 
 TEST_F(RingGiveUp, LegacyProtocolLeavesReachableMemberDark) {
-  const InvariantReport report = run(/*hardened=*/false);
+  const InvariantReport report = run(/*legacy_repair=*/true);
   EXPECT_FALSE(report.ok())
       << "legacy give-up should strand the member beyond the ring budget";
 }
 
 TEST_F(RingGiveUp, HardenedProtocolFallsBackToRoutedJoin) {
-  const InvariantReport report = run(/*hardened=*/true);
+  const InvariantReport report = run(/*legacy_repair=*/false);
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
