@@ -323,52 +323,73 @@ void MulticastTree::add_member_count_upward(Slot from, int delta) {
   }
 }
 
-void MulticastTree::graft(NodeId member, const std::vector<NodeId>& path) {
-  if (path.empty() || path.front() != member) {
-    throw std::invalid_argument("graft path must start at the joining member");
+NodeId MulticastTree::checked_path_end(NodeId from,
+                                       std::span<const LinkId> links) const {
+  NodeId cur = from;
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    if (i > 0 && find(cur) != kNoSlot) {
+      throw std::invalid_argument("path crosses the tree early");
+    }
+    const LinkId id = links[i];
+    if (id < 0 || id >= graph_->link_count()) {
+      throw std::invalid_argument("path link is not a graph link");
+    }
+    const net::Link& l = graph_->link(id);
+    if (l.a != cur && l.b != cur) {
+      throw std::invalid_argument("path link does not touch its hop node");
+    }
+    cur = l.other(cur);
   }
-  const NodeId merge = path.back();
-  if (!on_tree(merge)) {
-    throw std::invalid_argument("graft path must end at an on-tree node");
+  if (find(cur) == kNoSlot) {
+    throw std::invalid_argument("path must end at an on-tree node");
   }
-  if (path.size() == 1) {
+  // Every link is known to touch its hop node now, so the nodes can be
+  // re-derived pairwise without allocating.
+  NodeId first = from;
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    NodeId later = first;
+    for (std::size_t j = i; j < links.size(); ++j) {
+      later = graph_->link(links[j]).other(later);
+      if (later == first) throw std::invalid_argument("path repeats a node");
+    }
+    first = graph_->link(links[i]).other(first);
+  }
+  return cur;
+}
+
+void MulticastTree::graft(NodeId member, std::span<const LinkId> links) {
+  const Slot at = checked_find(member);
+  if (links.empty()) {
     // Member is already an on-tree node (relay or the source); it simply
     // becomes a receiver as well.
-    const Slot s = checked_find(member);
+    if (at == kNoSlot) {
+      throw std::invalid_argument("graft path must end at an on-tree node");
+    }
     if (member == source_) {
       throw std::invalid_argument("source cannot join as a member");
     }
-    if (rec(s).role == NodeRole::kMember) return;  // idempotent
-    rec(s).role = NodeRole::kMember;
+    if (rec(at).role == NodeRole::kMember) return;  // idempotent
+    rec(at).role = NodeRole::kMember;
     ++member_count_;
-    add_member_count_upward(s, +1);
+    add_member_count_upward(at, +1);
     return;
   }
-  // Intermediate nodes (everything but the merge node) must be off-tree,
-  // adjacent pairwise, and free of duplicates.
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    if (on_tree(path[i])) {
-      throw std::invalid_argument("graft path crosses the tree early");
-    }
-    if (!graph_->link_between(path[i], path[i + 1])) {
-      throw std::invalid_argument("graft path has non-adjacent hop");
-    }
-    for (std::size_t j = i + 1; j < path.size(); ++j) {
-      if (path[i] == path[j]) {
-        throw std::invalid_argument("graft path repeats a node");
-      }
-    }
+  if (at != kNoSlot) {
+    throw std::invalid_argument("graft path crosses the tree early");
   }
+  const NodeId merge = checked_path_end(member, links);
   // Wire up from the merge node down to the member, so each hop's
   // upstream record exists before the hop links to it. Every new node has
   // exactly the new member below (or at) it.
   const Slot merge_slot = find(merge);
   Slot up = merge_slot;
-  for (std::size_t i = path.size() - 1; i-- > 0;) {
-    const Slot s = acquire(path[i]);
+  NodeId hop = merge;
+  for (std::size_t i = links.size(); i-- > 0;) {
+    hop = graph_->link(links[i]).other(hop);
+    const Slot s = acquire(hop);
     Record& r = rec(s);
-    r.role = (path[i] == member) ? NodeRole::kMember : NodeRole::kRelay;
-    r.parent_link = *graph_->link_between(path[i], path[i + 1]);
+    r.role = i == 0 ? NodeRole::kMember : NodeRole::kRelay;
+    r.parent_link = links[i];
     r.n_members = 1;
     append_child(up, s);
     up = s;
@@ -407,35 +428,14 @@ void MulticastTree::leave(NodeId member) {
 }
 
 void MulticastTree::move_subtree(NodeId node,
-                                 const std::vector<NodeId>& path) {
+                                 std::span<const LinkId> links) {
   const Slot moving = checked_find(node);
   if (moving == kNoSlot || node == source_) {
     throw std::invalid_argument("can only move an on-tree non-source node");
   }
-  if (path.empty() || path.front() != node) {
-    throw std::invalid_argument("move path must start at the moving node");
-  }
-  const NodeId merge = path.back();
-  if (!on_tree(merge)) {
-    throw std::invalid_argument("move path must end at an on-tree node");
-  }
+  const NodeId merge = checked_path_end(node, links);
   if (is_ancestor_or_self(node, merge)) {
     throw std::invalid_argument("cannot merge into the moving subtree");
-  }
-  for (std::size_t i = 1; i + 1 < path.size(); ++i) {
-    if (on_tree(path[i])) {
-      throw std::invalid_argument("move path crosses the tree early");
-    }
-  }
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    if (!graph_->link_between(path[i], path[i + 1])) {
-      throw std::invalid_argument("move path has non-adjacent hop");
-    }
-    for (std::size_t j = i + 1; j < path.size(); ++j) {
-      if (path[i] == path[j]) {
-        throw std::invalid_argument("move path repeats a node");
-      }
-    }
   }
 
   const int moving_members = rec(moving).n_members;
@@ -453,14 +453,16 @@ void MulticastTree::move_subtree(NodeId node,
   // 2. Re-attach along the new path, wired from the merge node down.
   const Slot merge_slot = find(merge);
   Slot up = merge_slot;
-  for (std::size_t i = path.size() - 1; i-- > 0;) {
+  NodeId hop = merge;
+  for (std::size_t i = links.size(); i-- > 0;) {
+    hop = graph_->link(links[i]).other(hop);
     Slot s = moving;
     if (i > 0) {
-      s = acquire(path[i]);
+      s = acquire(hop);
       rec(s).role = NodeRole::kRelay;
       rec(s).n_members = moving_members;
     }
-    rec(s).parent_link = *graph_->link_between(path[i], path[i + 1]);
+    rec(s).parent_link = links[i];
     append_child(up, s);
     up = s;
   }
@@ -622,9 +624,14 @@ void MulticastTree::validate() const {
         if (rec(c).parent != s) {
           throw std::logic_error("child/parent pointer mismatch");
         }
-        const auto expect = graph_->link_between(rec(c).node, rec(s).node);
-        if (!expect || *expect != rec(c).parent_link) {
-          throw std::logic_error("parent_link does not match the graph");
+        const LinkId link = rec(c).parent_link;
+        if (link < 0 || link >= graph_->link_count()) {
+          throw std::logic_error("parent_link is not a graph link");
+        }
+        const net::Link& l = graph_->link(link);
+        if (!(l.a == rec(c).node && l.b == rec(s).node) &&
+            !(l.b == rec(c).node && l.a == rec(s).node)) {
+          throw std::logic_error("parent_link does not join child and parent");
         }
         if (reached[static_cast<std::size_t>(c)]) {
           throw std::logic_error("cycle or duplicate child in tree");

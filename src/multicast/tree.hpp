@@ -23,10 +23,16 @@
 // Child iteration order is append order (and detachment preserves it),
 // and members()/on_tree_nodes()/tree_links() are ascending by node id;
 // the differential suite pins both.
+//
+// A tree is a set of links, and a join installs state hop by hop along
+// the links its search found (§3.2.1–3.2.2): graft() and move_subtree()
+// take those hop links and derive the hop nodes from their endpoints, so
+// no mutation looks a link up by its endpoints.
 #pragma once
 
 #include <cstdint>
 #include <iterator>
+#include <span>
 #include <vector>
 
 #include "net/graph.hpp"
@@ -228,21 +234,26 @@ class MulticastTree {
 
   // -- Mutations ----------------------------------------------------------
 
-  /// Join `member` along `path_to_merge`: node sequence
-  /// member → … → merge-node, whose last element must already be on-tree
-  /// and all others off-tree (a join of an already-on-tree node passes the
-  /// single-element path {member}). Consecutive nodes must be adjacent.
-  void graft(NodeId member, const std::vector<NodeId>& path_to_merge);
+  /// Join `member` along `links`: the hop links member → … → merge node,
+  /// as the search that chose the path holds them. The hop nodes follow
+  /// from the link endpoints, each link touching the node before it (an
+  /// O(1) check per hop; nothing is looked up by endpoints). The merge
+  /// node, which the last link reaches, must already be on-tree, every
+  /// earlier node off-tree, and no node may repeat. A join of an
+  /// already-on-tree node passes no links. Throws std::invalid_argument
+  /// and leaves the tree unchanged on any violation, kNoLink and ids
+  /// outside the graph included.
+  void graft(NodeId member, std::span<const LinkId> links);
 
   /// Leave: clears the member flag, prunes now-useless relay chains.
   void leave(NodeId member);
 
   /// Reshaping support: detach the subtree rooted at `node` from its old
-  /// upstream path and re-attach it along `path_to_merge`
-  /// (node → … → merge-node; same contract as graft(), except intermediate
-  /// nodes must also be outside `node`'s own subtree). Keeps all of
+  /// upstream path and re-attach it along `links` (node → … → merge node;
+  /// same contract as graft(), except that `node` itself is on-tree and
+  /// the merge node must lie outside `node`'s own subtree). Keeps all of
   /// `node`'s descendants attached below it.
-  void move_subtree(NodeId node, const std::vector<NodeId>& path_to_merge);
+  void move_subtree(NodeId node, std::span<const LinkId> links);
 
   /// Persistent-failure surgery: drop the entire component disconnected by
   /// `failed_link` from the tree (its nodes become off-tree; in the real
@@ -295,6 +306,14 @@ class MulticastTree {
   /// Unlink `child` from its parent's list (sibling order preserved) and
   /// clear its parent link.
   void detach_from_parent(Slot child);
+
+  /// The node `links` reach from `from`, after checking the path
+  /// contract graft() and move_subtree() share: every link is a graph
+  /// link touching the hop node before it, every node between the first
+  /// and the last is off-tree, the last is on-tree, and no node repeats.
+  /// Throws std::invalid_argument. O(hops²), allocation-free.
+  [[nodiscard]] NodeId checked_path_end(NodeId from,
+                                        std::span<const LinkId> links) const;
 
   void add_member_count_upward(Slot from, int delta);
   void prune_upward_from(Slot s);

@@ -1,5 +1,7 @@
 #include "net/graph.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -28,7 +30,9 @@ void Graph::copy_from(const Graph& other) {
   links_ = other.links_;
   node_count_ = other.node_count_;
   degree_ = other.degree_;
-  link_index_ = other.link_index_;
+  // The key table is not copied: the copy's next add_link, if it ever
+  // makes one, rebuilds it from links_.
+  release_keys();
   positions_ = other.positions_;
   topology_version_ = other.topology_version_;
   dup_check_ops_ = other.dup_check_ops_;
@@ -42,7 +46,7 @@ void Graph::move_from(Graph&& other) noexcept {
   links_ = std::move(other.links_);
   node_count_ = other.node_count_;
   degree_ = std::move(other.degree_);
-  link_index_ = std::move(other.link_index_);
+  keys_ = std::move(other.keys_);
   positions_ = std::move(other.positions_);
   topology_version_ = other.topology_version_;
   dup_check_ops_ = other.dup_check_ops_;
@@ -69,20 +73,9 @@ Graph& Graph::operator=(Graph&& other) noexcept {
 Graph Graph::from_links(int node_count, std::span<const Link> links) {
   Graph g(node_count);
   g.links_.reserve(links.size());
-  g.link_index_.reserve(links.size());
+  g.rebuild_keys(links.size());
   for (const Link& l : links) {
-    if (!g.valid_node(l.a) || !g.valid_node(l.b)) {
-      throw std::out_of_range("link endpoint out of range");
-    }
-    if (l.a == l.b) throw std::invalid_argument("self-loop rejected");
-    if (!(l.weight > 0.0)) {
-      throw std::invalid_argument("weight must be positive");
-    }
-    const LinkId id = g.link_count();
-    ++g.dup_check_ops_;
-    if (!g.link_index_.emplace(endpoint_key(l.a, l.b), id).second) {
-      throw std::invalid_argument("parallel link rejected");
-    }
+    g.check_new_link(l.a, l.b, l.weight);
     g.links_.push_back(l);
     ++g.degree_[static_cast<std::size_t>(l.a)];
     ++g.degree_[static_cast<std::size_t>(l.b)];
@@ -109,18 +102,54 @@ NodeId Graph::add_nodes(int count) {
   return first;
 }
 
-LinkId Graph::add_link(NodeId a, NodeId b, double weight) {
+void Graph::check_new_link(NodeId a, NodeId b, double weight) {
   if (!valid_node(a) || !valid_node(b)) {
     throw std::out_of_range("link endpoint out of range");
   }
   if (a == b) throw std::invalid_argument("self-loop rejected");
   if (!(weight > 0.0)) throw std::invalid_argument("weight must be positive");
-
-  const LinkId id = link_count();
+  // The table is empty after a read released it (or before the first
+  // link); at most half full otherwise, so every probe ends.
+  if (2 * (links_.size() + 1) > keys_.size()) rebuild_keys(links_.size() + 1);
   ++dup_check_ops_;
-  if (!link_index_.emplace(endpoint_key(a, b), id).second) {
+  if (!insert_key(endpoint_key(a, b))) {
+    // A rejected first link after a read leaves the CSR valid: drop the
+    // table again instead of keeping it behind a valid CSR.
+    if (csr_valid_.load(std::memory_order_relaxed)) release_keys();
     throw std::invalid_argument("parallel link rejected");
   }
+}
+
+void Graph::release_keys() const noexcept {
+  std::vector<std::uint64_t>().swap(keys_);
+}
+
+void Graph::rebuild_keys(std::size_t links) {
+  // Release the old table before sizing the new one, so growth never
+  // holds both.
+  release_keys();
+  keys_.resize(std::bit_ceil(std::max<std::size_t>(2 * links, 16)));
+  for (const Link& l : links_) insert_key(endpoint_key(l.a, l.b));
+}
+
+bool Graph::insert_key(std::uint64_t key) noexcept {
+  // Fibonacci hashing: the top bits of the golden-ratio product spread
+  // both endpoint halves of the key across the table.
+  const std::size_t mask = keys_.size() - 1;
+  const int shift = std::countl_zero(keys_.size()) + 1;
+  auto i = static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift);
+  for (;; i = (i + 1) & mask) {
+    if (keys_[i] == key) return false;
+    if (keys_[i] == 0) {
+      keys_[i] = key;
+      return true;
+    }
+  }
+}
+
+LinkId Graph::add_link(NodeId a, NodeId b, double weight) {
+  check_new_link(a, b, weight);
+  const LinkId id = link_count();
   links_.push_back(Link{a, b, weight});
   ++degree_[static_cast<std::size_t>(a)];
   ++degree_[static_cast<std::size_t>(b)];
@@ -142,6 +171,9 @@ void Graph::set_link_weight(LinkId id, double weight) {
 void Graph::rebuild_csr() const {
   std::lock_guard<std::mutex> lock(csr_mutex_);
   if (csr_valid_.load(std::memory_order_relaxed)) return;
+  // A read ends the construction batch: the duplicate-check table goes
+  // first, so its memory is back before the CSR arrays are sized.
+  release_keys();
 
   const auto nodes = static_cast<std::size_t>(node_count_);
   offsets_.assign(nodes + 1, 0);
@@ -164,9 +196,12 @@ void Graph::rebuild_csr() const {
 
 std::optional<LinkId> Graph::link_between(NodeId u, NodeId v) const {
   if (!valid_node(u) || !valid_node(v) || u == v) return std::nullopt;
-  const auto it = link_index_.find(endpoint_key(u, v));
-  if (it == link_index_.end()) return std::nullopt;
-  return it->second;
+  const bool from_u = degree(u) <= degree(v);
+  const NodeId to = from_u ? v : u;
+  for (const Adjacency& adj : neighbors(from_u ? u : v)) {
+    if (adj.neighbor == to) return adj.link;
+  }
+  return std::nullopt;
 }
 
 double Graph::average_degree() const noexcept {

@@ -14,9 +14,14 @@
 // link-insertion order — exactly what the legacy per-node push_back layout
 // produced — so every CSR traversal is bit-identical to the old layout.
 //
-// Duplicate-link detection is a hash of the (min, max) endpoint pair, so
-// add_link is O(1) amortized instead of a linear adjacency scan (the old
-// behaviour made hub-heavy construction O(Σ deg²)).
+// There is no persistent endpoint index: paths carry the link ids their
+// searches already hold, and link_between() scans the CSR row of the
+// lower-degree endpoint. Duplicate-link detection during construction
+// probes a transient flat open-addressing table of (min, max) endpoint
+// keys, so add_link stays O(1) amortized (a linear adjacency scan made
+// hub-heavy construction O(Σ deg²)). The table exists only while the CSR
+// is stale: the CSR rebuild releases it, and the first add_link after a
+// read rebuilds it from the link list.
 #pragma once
 
 #include <atomic>
@@ -26,7 +31,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace smrp::net {
@@ -69,8 +73,9 @@ struct Point {
 /// are rejected; weights must be strictly positive.
 ///
 /// Thread-safety: mutation is single-threaded; concurrent reads are safe,
-/// including the first read after a mutation batch (the lazy CSR rebuild
-/// is guarded by a mutex and published with release/acquire ordering).
+/// including the first read after a mutation batch (the lazy CSR rebuild,
+/// which also releases the duplicate-check table, is guarded by a mutex
+/// and published with release/acquire ordering).
 /// Spans returned by neighbors() stay valid until the next mutation.
 class Graph {
  public:
@@ -133,7 +138,9 @@ class Graph {
     return degree_[static_cast<std::size_t>(n)];
   }
 
-  /// Link between u and v if one exists. O(1) via the endpoint hash.
+  /// Link between u and v if one exists: a scan of the lower-degree
+  /// endpoint's CSR row (built first if stale, like neighbors()). Hot
+  /// paths pass the link ids their searches hold instead of calling this.
   [[nodiscard]] std::optional<LinkId> link_between(NodeId u, NodeId v) const;
 
   [[nodiscard]] bool valid_node(NodeId n) const noexcept {
@@ -167,7 +174,7 @@ class Graph {
   }
   void set_positions(std::vector<Point> positions);
 
-  /// Total hash probes spent on add_link duplicate checks so far — the
+  /// Total key-table probes spent on add_link duplicate checks so far — the
   /// operation count the complexity regression test pins (one probe per
   /// insertion; the legacy adjacency scan spent O(deg) comparisons each).
   [[nodiscard]] std::uint64_t duplicate_check_ops() const noexcept {
@@ -178,12 +185,24 @@ class Graph {
   [[nodiscard]] std::string to_string() const;
 
  private:
-  /// Packed (min, max) endpoint key for the duplicate-link hash.
+  /// Packed (min, max) endpoint key for the duplicate-link table. Never 0
+  /// (the two endpoints differ, so hi > 0), which marks an empty cell.
   [[nodiscard]] static std::uint64_t endpoint_key(NodeId u, NodeId v) noexcept {
     const auto lo = static_cast<std::uint32_t>(u < v ? u : v);
     const auto hi = static_cast<std::uint32_t>(u < v ? v : u);
     return (static_cast<std::uint64_t>(lo) << 32) | hi;
   }
+
+  /// Validate one new link and record its key, (re)building the key table
+  /// first if it is missing or would pass half full; throws on a bad
+  /// endpoint, a self-loop, a non-positive weight or a parallel link.
+  void check_new_link(NodeId a, NodeId b, double weight);
+  /// Size the key table for `links` entries at most half full and fill it
+  /// from links_.
+  void rebuild_keys(std::size_t links);
+  void release_keys() const noexcept;
+  /// Insert `key`; false if it is already present.
+  bool insert_key(std::uint64_t key) noexcept;
 
   void rebuild_csr() const;
   void mark_csr_stale() noexcept {
@@ -195,8 +214,10 @@ class Graph {
   std::vector<Link> links_;
   int node_count_ = 0;
   std::vector<int> degree_;  ///< per-node degree, maintained on add_link
-  /// (min, max) endpoint pair -> link id; duplicate check + link_between.
-  std::unordered_map<std::uint64_t, LinkId> link_index_;
+  /// Transient duplicate-check table: a power-of-two open-addressing
+  /// (linear probing) set of endpoint keys, 0 = empty cell. Empty while
+  /// the CSR is valid; rebuild_csr() releases it.
+  mutable std::vector<std::uint64_t> keys_;
   std::vector<Point> positions_;
   std::uint64_t topology_version_ = 0;
   std::uint64_t dup_check_ops_ = 0;

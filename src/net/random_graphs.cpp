@@ -1,5 +1,6 @@
 #include "net/random_graphs.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -107,15 +108,20 @@ Graph barabasi_albert_graph(const BarabasiAlbertParams& p, Rng& rng) {
            guard++ < 1000) {
       const NodeId target = endpoint_pool[static_cast<std::size_t>(
           rng.below(endpoint_pool.size()))];
-      if (target == newcomer || g.link_between(newcomer, target)) continue;
+      // The newcomer's only links are the ones it made this round, so
+      // its own list answers "already linked" without reading the graph
+      // (a read mid-build would force a CSR rebuild per newcomer).
+      if (target == newcomer ||
+          std::find(attached_to.begin(), attached_to.end(), target) !=
+              attached_to.end()) {
+        continue;
+      }
       g.add_link(newcomer, target,
                  draw_weight(p.min_weight, p.max_weight, rng));
       attached_to.push_back(target);
     }
     // Register the new endpoints only after all of this newcomer's
-    // attachments, so it cannot preferentially attach to itself. Tracked
-    // locally: reading g.neighbors() mid-construction would force a CSR
-    // rebuild per newcomer.
+    // attachments, so it cannot preferentially attach to itself.
     for (const NodeId target : attached_to) {
       endpoint_pool.push_back(newcomer);
       endpoint_pool.push_back(target);

@@ -645,8 +645,8 @@ void DetourSearch::compute(RoutingOracle& oracle, NodeId origin,
   labels_.clear();
   for (const NodeId v : lease->labelled()) {
     const auto i = static_cast<std::size_t>(v);
-    labels_.push_back(
-        Label{v, search.parent[i], search.dist[i], search.hops[i]});
+    labels_.push_back(Label{v, search.parent[i], search.parent_link[i],
+                            search.hops[i], search.dist[i]});
   }
   std::sort(labels_.begin(), labels_.end(),
             [](const Label& a, const Label& b) { return a.node < b.node; });
@@ -677,6 +677,16 @@ std::vector<NodeId> DetourSearch::path() const {
   std::vector<NodeId> out;
   for (const Label* l = &best_label(); l != nullptr; l = find(l->parent)) {
     out.push_back(l->node);
+  }
+  std::reverse(out.begin(), out.end());
+  return out;
+}
+
+std::vector<LinkId> DetourSearch::links() const {
+  std::vector<LinkId> out;
+  for (const Label* l = &best_label(); l->parent != kNoNode;
+       l = find(l->parent)) {
+    out.push_back(l->parent_link);
   }
   std::reverse(out.begin(), out.end());
   return out;

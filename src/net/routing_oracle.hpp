@@ -374,18 +374,21 @@ class DetourSearch {
 
   [[nodiscard]] bool found() const noexcept { return best_ != kNoNode; }
   [[nodiscard]] NodeId best_target() const noexcept { return best_; }
-  /// Length and hop count of the detour to best_target(), and its node
-  /// sequence origin → … → best_target(). Require found().
+  /// Length and hop count of the detour to best_target(), its node
+  /// sequence origin → … → best_target(), and the links along it in the
+  /// same order. Require found().
   [[nodiscard]] double distance() const;
   [[nodiscard]] int hops() const;
   [[nodiscard]] std::vector<NodeId> path() const;
+  [[nodiscard]] std::vector<LinkId> links() const;
 
  private:
   struct Label {
     NodeId node = kNoNode;
     NodeId parent = kNoNode;
-    double dist = kInfinity;
+    LinkId parent_link = kNoLink;  ///< link to `parent`
     std::int32_t hops = -1;
+    double dist = kInfinity;
   };
 
   /// The label of `n`, or null when the search never reached it.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "net/paths.hpp"
 #include "smrp/path_selection.hpp"
 
 namespace smrp::proto {
@@ -1240,7 +1241,7 @@ std::optional<mcast::MulticastTree> DistributedSession::snapshot_tree() const {
   for (const auto& chain : chains) {
     const net::NodeId m = chain.front();
     if (tree.on_tree(m)) {
-      tree.graft(m, {m});
+      tree.graft(m, {});
       continue;
     }
     std::vector<net::NodeId> graft;
@@ -1248,10 +1249,11 @@ std::optional<mcast::MulticastTree> DistributedSession::snapshot_tree() const {
       graft.push_back(n);
       if (tree.on_tree(n)) break;
     }
-    // Adjacent-hop validation happens inside graft(); inconsistent chains
-    // (e.g. parent pointers across down links mid-repair) abort.
+    // path_links() rejects a non-adjacent hop and graft() the rest;
+    // inconsistent chains (e.g. parent pointers across down links
+    // mid-repair) abort.
     try {
-      tree.graft(m, graft);
+      tree.graft(m, net::path_links(g, graft));
     } catch (const std::exception&) {
       return std::nullopt;
     }

@@ -1,6 +1,7 @@
 #include "smrp/recovery.hpp"
 
 #include <memory>
+#include <span>
 #include <stdexcept>
 
 namespace smrp::proto {
@@ -103,6 +104,7 @@ RecoveryOutcome local_detour_recovery(const Graph& g,
   out.recovered = true;
   out.reattach_node = best;
   out.restoration_path = detour.path();  // member → … → best
+  out.restoration_links = detour.links();
   out.recovery_distance = detour.distance();
   out.recovery_hops = detour.hops();
   out.new_delay = out.recovery_distance + tree.delay_to_source(best);
@@ -134,14 +136,18 @@ RecoveryOutcome global_detour_recovery(const Graph& g,
   const net::ShortestPathTree& spf = *spf_tree;
   if (!spf.reachable(tree.source())) return out;
 
+  // The search is rooted at the member, so each hop's link is the SPF
+  // parent link of the hop's far end.
   const std::vector<NodeId> path = spf.path_from_source(tree.source());
   double distance = 0.0;
   int hops = 0;
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
     const NodeId next = path[i + 1];
-    distance += g.link(*g.link_between(path[i], next)).weight;
+    const LinkId link = spf.parent_link[static_cast<std::size_t>(next)];
+    distance += g.link(link).weight;
     ++hops;
     out.restoration_path.push_back(path[i]);
+    out.restoration_links.push_back(link);
     if (survivors[static_cast<std::size_t>(next)] != 0) {
       out.restoration_path.push_back(next);
       out.recovered = true;
@@ -155,6 +161,7 @@ RecoveryOutcome global_detour_recovery(const Graph& g,
   // The walk always terminates at the source, which survives by definition,
   // so reaching here means the path list was empty.
   out.restoration_path.clear();
+  out.restoration_links.clear();
   return out;
 }
 
@@ -221,6 +228,7 @@ SessionRepairReport repair_session(const Graph& g, MulticastTree& tree,
     c.outcome.recovered = true;
     c.outcome.reattach_node = reattach;
     c.outcome.restoration_path = c.detour.path();
+    c.outcome.restoration_links = c.detour.links();
     c.outcome.recovery_distance = c.detour.distance();
     c.outcome.recovery_hops = c.detour.hops();
     c.outcome.new_delay =
@@ -230,14 +238,19 @@ SessionRepairReport repair_session(const Graph& g, MulticastTree& tree,
   const auto walk_global = [&](Candidate& c) {
     c.outcome.recovered = false;
     c.outcome.restoration_path.clear();
+    c.outcome.restoration_links.clear();
     if (!c.spf->reachable(tree.source())) return;
+    // Rooted at the member, like global_detour_recovery's search.
     const std::vector<NodeId> path = c.spf->path_from_source(tree.source());
     double distance = 0.0;
     int hops = 0;
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      distance += g.link(*g.link_between(path[i], path[i + 1])).weight;
+      const LinkId link =
+          c.spf->parent_link[static_cast<std::size_t>(path[i + 1])];
+      distance += g.link(link).weight;
       ++hops;
       c.outcome.restoration_path.push_back(path[i]);
+      c.outcome.restoration_links.push_back(link);
       if (on_tree[static_cast<std::size_t>(path[i + 1])] != 0) {
         c.outcome.restoration_path.push_back(path[i + 1]);
         c.outcome.recovered = true;
@@ -249,6 +262,7 @@ SessionRepairReport repair_session(const Graph& g, MulticastTree& tree,
       }
     }
     c.outcome.restoration_path.clear();
+    c.outcome.restoration_links.clear();
   };
 
   const auto compute = [&](Candidate& c, NodeId member) {
@@ -291,7 +305,7 @@ SessionRepairReport repair_session(const Graph& g, MulticastTree& tree,
     for (const NodeId m : lost) {
       if (!pending[static_cast<std::size_t>(m)]) continue;
       if (tree.on_tree(m)) {
-        tree.graft(m, {m});
+        tree.graft(m, {});
         pending[static_cast<std::size_t>(m)] = 0;
         --remaining;
         ++report.repaired_members;
@@ -367,18 +381,20 @@ void apply_recovery(MulticastTree& tree, const RecoveryOutcome& outcome) {
   // member's restoration path back onto the tree (neighbor-assisted
   // recovery); graft only up to the first node that is on-tree by now.
   if (tree.on_tree(outcome.member)) {
-    tree.graft(outcome.member, {outcome.member});
+    tree.graft(outcome.member, {});
     return;
   }
-  std::vector<NodeId> graft;
-  for (const NodeId n : outcome.restoration_path) {
-    graft.push_back(n);
-    if (tree.on_tree(n)) break;
+  const std::vector<NodeId>& path = outcome.restoration_path;
+  if (outcome.restoration_links.size() + 1 != path.size()) {
+    throw std::logic_error("apply_recovery: restoration links and path differ");
   }
-  if (!tree.on_tree(graft.back())) {
+  std::size_t merge = 0;
+  while (merge < path.size() && !tree.on_tree(path[merge])) ++merge;
+  if (merge == path.size()) {
     throw std::logic_error("restoration path never reaches the tree");
   }
-  tree.graft(outcome.member, graft);
+  tree.graft(outcome.member,
+             std::span<const LinkId>(outcome.restoration_links).first(merge));
 }
 
 }  // namespace smrp::proto

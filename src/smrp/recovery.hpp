@@ -49,6 +49,9 @@ struct RecoveryOutcome {
   NodeId reattach_node = net::kNoNode;
   /// member → … → reattach node; exactly the new links brought in.
   std::vector<NodeId> restoration_path;
+  /// The links along restoration_path, in the same order, as the search
+  /// that found it holds them (one fewer than its nodes).
+  std::vector<LinkId> restoration_links;
   double recovery_distance = 0.0;  ///< RD_R in link weight
   int recovery_hops = 0;           ///< RD_R in hops
   double new_delay = 0.0;          ///< member's end-to-end delay afterwards

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "net/paths.hpp"
+
 namespace smrp::proto {
 
 bool graft_rewalks_attachment(const MulticastTree& tree, NodeId member,
@@ -60,7 +62,7 @@ JoinOutcome SmrpTreeBuilder::join(NodeId member) {
                        bounding_spf());
   if (!selection) return outcome;
 
-  tree_.graft(member, selection->chosen.graft);
+  tree_.graft(member, net::path_links(*g_, selection->chosen.graft));
   record_baseline(member);
 
   outcome.joined = true;
@@ -87,9 +89,13 @@ JoinOutcome SmrpTreeBuilder::join_along(NodeId member,
   // Externally supplied grafts (query scheme, scripted scenarios) are
   // unvalidated input: an empty graft or one that never reaches the tree
   // is a failed join, not UB — mirroring the restoration-path guard in
-  // apply_recovery().
+  // apply_recovery(). A graft that starts elsewhere or has a non-adjacent
+  // hop throws std::invalid_argument, as graft() does for a bad path.
   if (graft.empty() || !tree_.on_tree(graft.back())) return outcome;
-  tree_.graft(member, graft);
+  if (graft.front() != member) {
+    throw std::invalid_argument("graft path must start at the joining member");
+  }
+  tree_.graft(member, net::path_links(*g_, graft));
   record_baseline(member);
   outcome.joined = true;
   outcome.merge_node = graft.back();
@@ -141,7 +147,7 @@ bool SmrpTreeBuilder::try_reshape(NodeId member) {
   // move_subtree without changing the tree.
   if (graft_rewalks_attachment(tree_, member, best->graft)) return false;
 
-  tree_.move_subtree(member, best->graft);
+  tree_.move_subtree(member, net::path_links(*g_, best->graft));
   record_baseline(member);
   ++reshape_count_;
   return true;

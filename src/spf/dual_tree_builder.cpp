@@ -2,9 +2,20 @@
 
 #include <stdexcept>
 
-#include "net/paths.hpp"
-
 namespace smrp::baseline {
+
+namespace {
+
+/// The on-tree links `n` → … → source, read from the tree's parent links.
+std::vector<LinkId> links_to_source(const MulticastTree& tree, NodeId n) {
+  std::vector<LinkId> out;
+  for (NodeId cur = n; cur != tree.source(); cur = tree.parent(cur)) {
+    out.push_back(tree.parent_link(cur));
+  }
+  return out;
+}
+
+}  // namespace
 
 DualTreeBuilder::DualTreeBuilder(const Graph& g, NodeId source,
                                  net::RoutingOracle* oracle)
@@ -24,59 +35,50 @@ bool DualTreeBuilder::join(NodeId member) {
   if (blue_.is_member(member)) return true;
   if (!spf_from_source_->reachable(member)) return false;
 
-  // Blue: plain SPF join (PIM semantics along the source-rooted SPF tree).
-  if (blue_.on_tree(member)) {
-    blue_.graft(member, {member});
-  } else {
-    std::vector<NodeId> graft;
-    for (NodeId cur = member;;
-         cur = spf_from_source_->parent[static_cast<std::size_t>(cur)]) {
-      graft.push_back(cur);
-      if (blue_.on_tree(cur)) break;
-    }
-    blue_.graft(member, graft);
+  // Blue: plain SPF join (PIM semantics along the source-rooted SPF tree),
+  // along each hop's SPF parent link up to the first on-tree router.
+  const net::ShortestPathTree& spf = *spf_from_source_;
+  std::vector<LinkId> graft;
+  for (NodeId cur = member; !blue_.on_tree(cur);
+       cur = spf.parent[static_cast<std::size_t>(cur)]) {
+    graft.push_back(spf.parent_link[static_cast<std::size_t>(cur)]);
   }
+  blue_.graft(member, graft);
 
   // Red: shortest path to the source avoiding the member's blue path
   // (links and interior nodes), grafted onto the red tree at its first
   // intersection. Falls back to the unconstrained path when the graph is
   // not 2-connected around this member.
-  const std::vector<NodeId> blue_path = blue_.path_to_source(member);
+  const std::vector<LinkId> blue_links = links_to_source(blue_, member);
   net::ExclusionSet excluded(*g_);
-  for (std::size_t i = 1; i + 1 < blue_path.size(); ++i) {
-    excluded.ban_node(blue_path[i]);
+  for (NodeId n = blue_.parent(member); n != blue_.source();
+       n = blue_.parent(n)) {
+    excluded.ban_node(n);
   }
-  for (std::size_t i = 0; i + 1 < blue_path.size(); ++i) {
-    if (const auto link = g_->link_between(blue_path[i], blue_path[i + 1])) {
-      excluded.ban_link(*link);
-    }
-  }
+  for (const LinkId link : blue_links) excluded.ban_link(link);
   net::RoutingOracle::TreePtr red_search = oracle_->spf(member, excluded);
   if (!red_search->reachable(blue_.source())) {
     red_search = oracle_->spf(member);
   }
 
   if (!red_.is_member(member)) {
-    if (red_.on_tree(member)) {
-      red_.graft(member, {member});
-    } else {
-      const std::vector<NodeId> to_source =
-          red_search->path_from_source(blue_.source());
-      std::vector<NodeId> graft;
-      for (const NodeId hop : to_source) {
-        graft.push_back(hop);
-        if (red_.on_tree(hop)) break;
-      }
-      red_.graft(member, graft);
+    // The search is rooted at the member, so its link path "from the
+    // source" runs member → … → source.
+    const std::vector<LinkId> to_source =
+        red_search->link_path_from_source(blue_.source());
+    graft.clear();
+    for (NodeId cur = member; !red_.on_tree(cur);) {
+      const LinkId hop = to_source[graft.size()];
+      graft.push_back(hop);
+      cur = g_->link(hop).other(cur);
     }
+    red_.graft(member, graft);
   }
 
   // Protection is judged on the *realised* trees: grafting onto existing
   // red branches (shared with other members) can reintroduce overlap, so
   // the computed disjoint path alone is not a guarantee.
-  const auto blue_links = net::path_links(*g_, blue_path);
-  const auto red_links =
-      net::path_links(*g_, red_.path_to_source(member));
+  const std::vector<LinkId> red_links = links_to_source(red_, member);
   bool disjoint = true;
   for (const LinkId bl : blue_links) {
     for (const LinkId rl : red_links) {

@@ -26,17 +26,14 @@ bool SpfTreeBuilder::join(NodeId member) {
   if (tree_.is_member(member)) return true;
   if (!spf_from_source_->reachable(member)) return false;
 
-  if (tree_.on_tree(member)) {
-    tree_.graft(member, {member});
-    return true;
-  }
-  // Walk from the member toward the source along the SPF tree; the join
-  // stops at the first on-tree router.
-  std::vector<NodeId> graft;
-  for (NodeId cur = member;;
-       cur = spf_from_source_->parent[static_cast<std::size_t>(cur)]) {
-    graft.push_back(cur);
-    if (tree_.on_tree(cur)) break;
+  // Walk from the member toward the source along the SPF tree, taking
+  // each hop's SPF parent link; the join stops at the first on-tree
+  // router (at once if the member is on-tree already).
+  const net::ShortestPathTree& spf = *spf_from_source_;
+  std::vector<net::LinkId> graft;
+  for (NodeId cur = member; !tree_.on_tree(cur);
+       cur = spf.parent[static_cast<std::size_t>(cur)]) {
+    graft.push_back(spf.parent_link[static_cast<std::size_t>(cur)]);
   }
   tree_.graft(member, graft);
   return true;

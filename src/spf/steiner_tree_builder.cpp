@@ -18,7 +18,7 @@ bool SteinerTreeBuilder::join(NodeId member) {
   }
   if (tree_.is_member(member)) return true;
   if (tree_.on_tree(member)) {
-    tree_.graft(member, {member});
+    tree_.graft(member, {});
     return true;
   }
   // Nearest point of the current tree (Takahashi–Matsuyama step): run an
@@ -44,7 +44,8 @@ bool SteinerTreeBuilder::join(NodeId member) {
     }
   }
   if (best == net::kNoNode) return false;
-  tree_.graft(member, search_.path_from_source(best));
+  // The search is rooted at the member: its links run member → … → best.
+  tree_.graft(member, search_.link_path_from_source(best));
   return true;
 }
 

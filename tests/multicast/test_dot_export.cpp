@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "net/paths.hpp"
 #include "testing_topologies.hpp"
 
 namespace smrp::mcast {
@@ -13,8 +14,8 @@ using testing::Fig1Topology;
 
 MulticastTree fig1_tree(const Fig1Topology& fig) {
   MulticastTree tree(fig.graph, fig.S);
-  tree.graft(fig.C, {fig.C, fig.A, fig.S});
-  tree.graft(fig.D, {fig.D, fig.A});
+  tree.graft(fig.C, net::path_links(fig.graph, {fig.C, fig.A, fig.S}));
+  tree.graft(fig.D, net::path_links(fig.graph, {fig.D, fig.A}));
   return tree;
 }
 

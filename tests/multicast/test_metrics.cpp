@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/paths.hpp"
 #include "testing_topologies.hpp"
 
 namespace smrp::mcast {
@@ -11,8 +12,8 @@ using testing::Fig1Topology;
 
 MulticastTree fig1_tree(const Fig1Topology& fig) {
   MulticastTree tree(fig.graph, fig.S);
-  tree.graft(fig.C, {fig.C, fig.A, fig.S});
-  tree.graft(fig.D, {fig.D, fig.A});
+  tree.graft(fig.C, net::path_links(fig.graph, {fig.C, fig.A, fig.S}));
+  tree.graft(fig.D, net::path_links(fig.graph, {fig.D, fig.A}));
   return tree;
 }
 
@@ -53,7 +54,8 @@ TEST(TreeMetrics, LinkSharingListsNL) {
 TEST(TreeMetrics, SharingDropsAfterDisjointMove) {
   const Fig1Topology fig;
   MulticastTree tree = fig1_tree(fig);
-  tree.move_subtree(fig.D, {fig.D, fig.B, fig.S});  // Figure-2 tree
+  // The Figure-2 tree.
+  tree.move_subtree(fig.D, net::path_links(fig.graph, {fig.D, fig.B, fig.S}));
   const TreeMetrics m = measure(tree);
   EXPECT_EQ(m.max_link_sharing, 1);  // fully disjoint member paths
   EXPECT_DOUBLE_EQ(m.total_cost, 5.0);  // SA + AC + SB + BD

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "multicast/tree_equality.hpp"
+#include "net/paths.hpp"
 #include "net/rng.hpp"
 #include "net/shortest_path.hpp"
 #include "net/waxman.hpp"
@@ -12,12 +13,13 @@ namespace smrp::mcast {
 namespace {
 
 using testing::Fig1Topology;
+using Links = std::vector<net::LinkId>;
 
 /// Fig. 1(a) tree: members C and D, both through A.
 MulticastTree fig1_tree(const Fig1Topology& fig) {
   MulticastTree tree(fig.graph, fig.S);
-  tree.graft(fig.C, {fig.C, fig.A, fig.S});
-  tree.graft(fig.D, {fig.D, fig.A});
+  tree.graft(fig.C, net::path_links(fig.graph, {fig.C, fig.A, fig.S}));
+  tree.graft(fig.D, net::path_links(fig.graph, {fig.D, fig.A}));
   return tree;
 }
 
@@ -92,45 +94,110 @@ TEST(MulticastTree, TreeLinksAndCost) {
 TEST(MulticastTree, GraftRejectsBadPaths) {
   const Fig1Topology fig;
   MulticastTree tree(fig.graph, fig.S);
-  // Path must start at the member.
-  EXPECT_THROW(tree.graft(fig.C, {fig.A, fig.S}), std::invalid_argument);
+  // The path must start at the member: its first link touches it.
+  EXPECT_THROW(tree.graft(fig.C, Links{fig.SA}), std::invalid_argument);
   // Path must end on-tree.
-  EXPECT_THROW(tree.graft(fig.C, {fig.C, fig.A}), std::invalid_argument);
-  // Non-adjacent hop.
-  EXPECT_THROW(tree.graft(fig.D, {fig.D, fig.C, fig.S}),
+  EXPECT_THROW(tree.graft(fig.C, Links{fig.AC}), std::invalid_argument);
+  // Non-adjacent hop: D reaches C, and S–A does not touch C.
+  EXPECT_THROW(tree.graft(fig.D, Links{fig.CD, fig.SA}),
                std::invalid_argument);
-  tree.graft(fig.C, {fig.C, fig.A, fig.S});
+  tree.graft(fig.C, Links{fig.AC, fig.SA});
   // Crossing the tree before the merge node.
-  EXPECT_THROW(tree.graft(fig.D, {fig.D, fig.A, fig.S}),
+  EXPECT_THROW(tree.graft(fig.D, Links{fig.AD, fig.SA}),
                std::invalid_argument);
   // The source cannot become a member.
-  EXPECT_THROW(tree.graft(fig.S, {fig.S}), std::invalid_argument);
+  EXPECT_THROW(tree.graft(fig.S, Links{}), std::invalid_argument);
 }
 
 TEST(MulticastTree, GraftRejectsDegeneratePaths) {
   const Fig1Topology fig;
   MulticastTree tree(fig.graph, fig.S);
-  // Empty graft: no UB, no state change — a clean rejection.
-  EXPECT_THROW(tree.graft(fig.C, {}), std::invalid_argument);
-  // Single-node graft for an off-tree member: there is no path at all.
-  EXPECT_THROW(tree.graft(fig.C, {fig.C}), std::invalid_argument);
+  // No links for an off-tree member: there is no path at all, and no UB
+  // or state change either — a clean rejection.
+  EXPECT_THROW(tree.graft(fig.C, Links{}), std::invalid_argument);
   // A duplicate hop would wire a node as its own ancestor.
-  EXPECT_THROW(tree.graft(fig.D, {fig.D, fig.A, fig.D, fig.A, fig.S}),
+  EXPECT_THROW(tree.graft(fig.D, Links{fig.AD, fig.AD, fig.AD, fig.SA}),
                std::invalid_argument);
   EXPECT_EQ(tree.member_count(), 0);
   tree.validate();
   // After all those rejections the tree still accepts a valid graft.
-  tree.graft(fig.C, {fig.C, fig.A, fig.S});
+  tree.graft(fig.C, net::path_links(fig.graph, {fig.C, fig.A, fig.S}));
   tree.validate();
   EXPECT_EQ(tree.member_count(), 1);
+}
+
+/// Runs `mutate`, which must throw std::invalid_argument, and checks that
+/// the tree is still valid and unchanged.
+template <typename Mutation>
+void expect_rejected_unchanged(MulticastTree& tree, Mutation mutate) {
+  const std::vector<net::NodeId> members = tree.members();
+  const std::vector<net::NodeId> nodes = tree.on_tree_nodes();
+  const std::vector<net::LinkId> links = tree.tree_links();
+  EXPECT_THROW(mutate(), std::invalid_argument);
+  EXPECT_NO_THROW(tree.validate());
+  EXPECT_EQ(tree.members(), members);
+  EXPECT_EQ(tree.on_tree_nodes(), nodes);
+  EXPECT_EQ(tree.tree_links(), links);
+}
+
+TEST(MulticastTree, GraftAndMoveRejectBrokenLinkSequences) {
+  // D joined via B (the Figure-2 branch); A and C are off-tree.
+  const Fig1Topology fig;
+  MulticastTree tree(fig.graph, fig.S);
+  tree.graft(fig.D, Links{fig.BD, fig.SB});
+  const net::LinkId past_end = fig.graph.link_count();
+  const std::vector<Links> broken_grafts = {
+      {net::kNoLink},
+      {past_end},
+      {fig.AC, fig.SB},          // C reaches A; S–B does not touch A
+      {fig.AC, fig.AC, fig.CD},  // C → A → C again → D
+      {fig.CD, fig.BD, fig.SB},  // D is on-tree before the merge node
+  };
+  for (const Links& links : broken_grafts) {
+    expect_rejected_unchanged(tree, [&] { tree.graft(fig.C, links); });
+  }
+  const std::vector<Links> broken_moves = {
+      {net::kNoLink},
+      {past_end},
+      {fig.CD, fig.SA},                          // S–A does not touch C
+      {fig.CD, fig.AC, fig.AC, fig.AC, fig.SA},  // D → C → A → C → A → S
+      {fig.BD, fig.SB},                          // B is on-tree already
+  };
+  for (const Links& links : broken_moves) {
+    expect_rejected_unchanged(tree, [&] { tree.move_subtree(fig.D, links); });
+  }
+  // The same tree still takes well-formed paths.
+  tree.graft(fig.C, Links{fig.CD});
+  tree.move_subtree(fig.D, Links{fig.AD, fig.SA});
+  tree.validate();
+  EXPECT_EQ(tree.parent(fig.C), fig.D);
+  EXPECT_EQ(tree.parent(fig.D), fig.A);
+  EXPECT_FALSE(tree.on_tree(fig.B));
+}
+
+TEST(MulticastTree, ValidateRejectsParentLinkThatMissesTheParent) {
+  // Grafted on a 0–1–2 chain, then the graph under the tree is replaced
+  // by one whose link 0 joins 0 and 2: node 1's parent_link no longer
+  // joins it to its parent.
+  net::Graph g(3);
+  g.add_link(0, 1, 1.0);
+  g.add_link(1, 2, 1.0);
+  MulticastTree tree(g, 0);
+  tree.graft(2, Links{1, 0});
+  ASSERT_NO_THROW(tree.validate());
+  net::Graph rewired(3);
+  rewired.add_link(0, 2, 1.0);
+  rewired.add_link(1, 2, 1.0);
+  g = rewired;
+  EXPECT_THROW(tree.validate(), std::logic_error);
 }
 
 TEST(MulticastTree, RelayBecomesMemberInPlace) {
   const Fig1Topology fig;
   MulticastTree tree(fig.graph, fig.S);
-  tree.graft(fig.C, {fig.C, fig.A, fig.S});
+  tree.graft(fig.C, net::path_links(fig.graph, {fig.C, fig.A, fig.S}));
   EXPECT_EQ(tree.role(fig.A), NodeRole::kRelay);
-  tree.graft(fig.A, {fig.A});
+  tree.graft(fig.A, Links{});
   tree.validate();
   EXPECT_TRUE(tree.is_member(fig.A));
   EXPECT_EQ(tree.member_count(), 2);
@@ -169,8 +236,8 @@ TEST(MulticastTree, LeaveByMemberWithDescendantsKeepsRelayRole) {
   // remain a relay because C still depends on it.
   const Fig1Topology fig;
   MulticastTree tree(fig.graph, fig.S);
-  tree.graft(fig.C, {fig.C, fig.A, fig.S});
-  tree.graft(fig.A, {fig.A});
+  tree.graft(fig.C, net::path_links(fig.graph, {fig.C, fig.A, fig.S}));
+  tree.graft(fig.A, Links{});
   tree.leave(fig.A);
   tree.validate();
   EXPECT_EQ(tree.role(fig.A), NodeRole::kRelay);
@@ -188,7 +255,7 @@ TEST(MulticastTree, MoveSubtreeReattaches) {
   const Fig1Topology fig;
   MulticastTree tree = fig1_tree(fig);
   // Move D from under A to under S via B (the Figure-2 disjoint tree).
-  tree.move_subtree(fig.D, {fig.D, fig.B, fig.S});
+  tree.move_subtree(fig.D, net::path_links(fig.graph, {fig.D, fig.B, fig.S}));
   tree.validate();
   EXPECT_EQ(tree.parent(fig.D), fig.B);
   EXPECT_EQ(tree.parent(fig.B), fig.S);
@@ -201,9 +268,10 @@ TEST(MulticastTree, MoveSubtreeReattaches) {
 TEST(MulticastTree, MoveSubtreeCarriesDescendants) {
   const Fig1Topology fig;
   MulticastTree tree(fig.graph, fig.S);
-  tree.graft(fig.D, {fig.D, fig.A, fig.S});
-  tree.graft(fig.C, {fig.C, fig.D});  // C hangs below D
-  tree.move_subtree(fig.D, {fig.D, fig.B, fig.S});
+  tree.graft(fig.D, net::path_links(fig.graph, {fig.D, fig.A, fig.S}));
+  // C hangs below D.
+  tree.graft(fig.C, net::path_links(fig.graph, {fig.C, fig.D}));
+  tree.move_subtree(fig.D, net::path_links(fig.graph, {fig.D, fig.B, fig.S}));
   tree.validate();
   EXPECT_EQ(tree.parent(fig.C), fig.D);
   EXPECT_EQ(tree.parent(fig.D), fig.B);
@@ -214,10 +282,9 @@ TEST(MulticastTree, MoveSubtreeCarriesDescendants) {
 TEST(MulticastTree, MoveSubtreeRejectsMergeIntoItself) {
   const Fig1Topology fig;
   MulticastTree tree(fig.graph, fig.S);
-  tree.graft(fig.D, {fig.D, fig.A, fig.S});
-  tree.graft(fig.C, {fig.C, fig.D});
-  EXPECT_THROW(tree.move_subtree(fig.D, {fig.D, fig.C}),
-               std::invalid_argument);
+  tree.graft(fig.D, net::path_links(fig.graph, {fig.D, fig.A, fig.S}));
+  tree.graft(fig.C, net::path_links(fig.graph, {fig.C, fig.D}));
+  EXPECT_THROW(tree.move_subtree(fig.D, Links{fig.CD}), std::invalid_argument);
 }
 
 TEST(MulticastTree, SeverDropsDisconnectedComponent) {
@@ -329,18 +396,14 @@ TEST_P(TreeChurnProperty, InvariantsHoldUnderRandomChurn) {
       const auto member =
           static_cast<net::NodeId>(1 + rng.below(g.node_count() - 1));
       if (tree.is_member(member)) continue;
-      if (tree.on_tree(member)) {
-        tree.graft(member, {member});
-      } else {
-        // Graft along the SPF path up to the first on-tree node.
-        std::vector<net::NodeId> graft;
-        for (net::NodeId cur = member;;
-             cur = spf.parent[static_cast<std::size_t>(cur)]) {
-          graft.push_back(cur);
-          if (tree.on_tree(cur)) break;
-        }
-        tree.graft(member, graft);
+      // Graft along the SPF path up to the first on-tree node (no links
+      // at all when the member is on-tree already).
+      Links graft;
+      for (net::NodeId cur = member; !tree.on_tree(cur);
+           cur = spf.parent[static_cast<std::size_t>(cur)]) {
+        graft.push_back(spf.parent_link[static_cast<std::size_t>(cur)]);
       }
+      tree.graft(member, graft);
       joined.push_back(member);
     } else {
       const std::size_t idx = rng.below(joined.size());

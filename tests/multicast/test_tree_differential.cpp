@@ -10,12 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "multicast/reference_tree.hpp"
 #include "multicast/tree.hpp"
+#include "net/paths.hpp"
 #include "net/rng.hpp"
 #include "net/shortest_path.hpp"
 #include "net/transit_stub.hpp"
@@ -103,7 +105,7 @@ void churn_in_lockstep(const net::Graph& g, net::NodeId source, net::Rng& rng,
       const std::vector<net::NodeId> path =
           ref.on_tree(member) ? std::vector<net::NodeId>{member}
                               : graft_path(spf, ref, member);
-      tree.graft(member, path);
+      tree.graft(member, net::path_links(g, path));
       ref.graft(member, path);
       joined.push_back(member);
     } else if (dice < 0.65) {
@@ -121,11 +123,12 @@ void churn_in_lockstep(const net::Graph& g, net::NodeId source, net::Rng& rng,
           on_tree[rng.below(on_tree.size())];
       if (n == source) continue;
       net::NodeId merge = net::kNoNode;
+      net::LinkId merge_link = net::kNoLink;
       for (const auto [nbr, link] : g.neighbors(n)) {
-        (void)link;
         if (ref.on_tree(nbr) && !ref.is_ancestor_or_self(n, nbr) &&
             nbr != ref.parent(n)) {
           merge = nbr;
+          merge_link = link;
           break;
         }
       }
@@ -136,7 +139,7 @@ void churn_in_lockstep(const net::Graph& g, net::NodeId source, net::Rng& rng,
                   ref.shr_excluding_subtree(merge, n))
             << "step " << step;
       }
-      tree.move_subtree(n, {n, merge});
+      tree.move_subtree(n, std::array{merge_link});
       ref.move_subtree(n, {n, merge});
     } else if (dice < 0.92) {
       // Link failure on a random tree link.
@@ -230,7 +233,7 @@ TEST(TreeDifferentialEdge, SourceNodeFailureClearsBothIdentically) {
     if (ref.is_member(m)) continue;
     const auto path = ref.on_tree(m) ? std::vector<net::NodeId>{m}
                                      : graft_path(spf, ref, m);
-    tree.graft(m, path);
+    tree.graft(m, net::path_links(g, path));
     ref.graft(m, path);
   }
   ASSERT_EQ(tree.sever_node(0), ref.sever_node(0));

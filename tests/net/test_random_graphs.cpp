@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 namespace smrp::net {
 namespace {
@@ -112,6 +114,32 @@ TEST(BarabasiAlbert, DeterministicPerSeed) {
     EXPECT_EQ(ga.link(l).a, gb.link(l).a);
     EXPECT_EQ(ga.link(l).b, gb.link(l).b);
   }
+}
+
+TEST(BarabasiAlbert, SeededOutputIsPinned) {
+  // FNV-1a over each link's a, b (4 bytes each) and weight bits (8 bytes),
+  // little-endian, in link-id order. It pins the generator's output: how
+  // it avoids linking a newcomer to the same target twice must not change
+  // the graph it draws.
+  Rng rng(20050628);
+  BarabasiAlbertParams p;
+  p.node_count = 5'000;
+  p.edges_per_node = 3;
+  const Graph g = barabasi_albert_graph(p, rng);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto feed = [&hash](std::uint64_t value, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      hash ^= (value >> (8 * i)) & 0xFFU;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (const Link& l : g.links()) {
+    feed(static_cast<std::uint32_t>(l.a), 4);
+    feed(static_cast<std::uint32_t>(l.b), 4);
+    feed(std::bit_cast<std::uint64_t>(l.weight), 8);
+  }
+  EXPECT_EQ(g.link_count(), 14'994);
+  EXPECT_EQ(hash, 0x34c912305642e0a9ULL);
 }
 
 TEST(BarabasiAlbert, RejectsBadParameters) {

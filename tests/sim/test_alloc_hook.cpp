@@ -9,12 +9,14 @@
 // allocates for its tree, not for the graph under it, and the telemetry
 // event log's: a payload event costs its bytes in a shared block, not a
 // heap object of its own. A grown tree's leave/graft cycle allocates
-// nothing: a mutation touches its path, not the whole tree.
+// nothing: a mutation touches its path, not the whole tree. Building a
+// graph allocates per growth step, not per link.
 // Under ASan/TSan the allocator is the sanitizer's, so the raw counter
 // assertions are skipped there and the pool-stats invariants (no slab
 // growth, no SBO overflow) carry the test instead.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -174,14 +176,11 @@ TEST(AllocHook, SessionTreeAllocatesForItsTreeNotTheGraph) {
   constexpr NodeId kNodes = 1'000'000;
   constexpr NodeId kHops = 10;
   net::Graph graph(kNodes);
-  std::vector<NodeId> path;
+  std::vector<net::LinkId> path;  // kHops → … → 0
   for (NodeId n = kHops; n > 0; --n) {
-    graph.add_link(n - 1, n, 1.0);
-    path.push_back(n);
+    path.push_back(graph.add_link(n - 1, n, 1.0));
   }
-  path.push_back(0);
   (void)graph.neighbors(0);
-  (void)graph.link_between(0, 1);
 
   const std::uint64_t before = allocated_bytes();
   {
@@ -207,20 +206,21 @@ TEST(AllocHook, TreeMutationsDoNotWalkTheTree) {
   // leaves with a scratch stack as wide as the tree.
   constexpr NodeId kLeaves = 3'000;
   net::Graph graph(kLeaves + 1);
-  std::vector<std::vector<NodeId>> paths;
-  paths.reserve(kLeaves);
+  // Leaf n's graft is its one spoke link, prepared before the window.
+  std::vector<std::array<net::LinkId, 1>> spokes;
+  spokes.reserve(kLeaves);
   for (NodeId n = 1; n <= kLeaves; ++n) {
-    graph.add_link(n, 0, 1.0);
-    paths.push_back({n, 0});
+    spokes.push_back({graph.add_link(n, 0, 1.0)});
   }
   mcast::MulticastTree tree(graph, 0);
-  for (const std::vector<NodeId>& path : paths) tree.graft(path[0], path);
+  for (NodeId n = 1; n <= kLeaves; ++n) tree.graft(n, spokes[n - 1]);
 
   const std::uint64_t before = allocation_count();
   for (std::size_t i = 0; i < 100; ++i) {
-    const std::vector<NodeId>& path = paths[i * 29 % paths.size()];
-    tree.leave(path[0]);
-    tree.graft(path[0], path);
+    const std::size_t spoke = i * 29 % spokes.size();
+    const auto leaf = static_cast<NodeId>(spoke + 1);
+    tree.leave(leaf);
+    tree.graft(leaf, spokes[spoke]);
   }
   const std::uint64_t after = allocation_count();
 
@@ -228,6 +228,33 @@ TEST(AllocHook, TreeMutationsDoNotWalkTheTree) {
   ASSERT_NO_THROW(tree.validate());
 #if SMRP_ALLOC_HOOK_ACTIVE
   EXPECT_EQ(after - before, 0u) << "a tree mutation allocated";
+#else
+  (void)before;
+  (void)after;
+#endif
+}
+
+TEST(AllocHook, GraphBuildAllocatesPerGrowthNotPerLink) {
+  // 100,000 links on 20,000 nodes (each node to its next five), then the
+  // first read. Duplicate checks probe one flat key table that grows by
+  // doubling and is released by that read, so the build allocates per
+  // growth step of the link list and the table plus the CSR arrays, not
+  // once per link as a node-based hash index does.
+  constexpr NodeId kNodes = 20'000;
+  constexpr int kSpan = 5;
+  net::Graph graph(kNodes);
+
+  const std::uint64_t before = allocation_count();
+  for (NodeId n = 0; n < kNodes; ++n) {
+    for (int k = 1; k <= kSpan; ++k) graph.add_link(n, (n + k) % kNodes, 1.0);
+  }
+  (void)graph.neighbors(0);
+  const std::uint64_t after = allocation_count();
+
+  EXPECT_EQ(graph.link_count(), kNodes * kSpan);
+  EXPECT_EQ(graph.degree(0), 2 * kSpan);
+#if SMRP_ALLOC_HOOK_ACTIVE
+  EXPECT_LT(after - before, 100u) << "the graph build allocated per link";
 #else
   (void)before;
   (void)after;

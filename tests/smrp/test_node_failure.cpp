@@ -18,8 +18,8 @@ using testing::Fig1Topology;
 
 mcast::MulticastTree fig1_tree(const Fig1Topology& fig) {
   mcast::MulticastTree tree(fig.graph, fig.S);
-  tree.graft(fig.C, {fig.C, fig.A, fig.S});
-  tree.graft(fig.D, {fig.D, fig.A});
+  tree.graft(fig.C, net::path_links(fig.graph, {fig.C, fig.A, fig.S}));
+  tree.graft(fig.D, net::path_links(fig.graph, {fig.D, fig.A}));
   return tree;
 }
 
@@ -67,8 +67,8 @@ TEST(NodeFailure, FailedNodeCannotRecoverItself) {
 TEST(NodeFailure, UnaffectedMemberStaysPut) {
   const Fig1Topology fig;
   mcast::MulticastTree tree(fig.graph, fig.S);
-  tree.graft(fig.C, {fig.C, fig.A, fig.S});
-  tree.graft(fig.D, {fig.D, fig.B, fig.S});
+  tree.graft(fig.C, net::path_links(fig.graph, {fig.C, fig.A, fig.S}));
+  tree.graft(fig.D, net::path_links(fig.graph, {fig.D, fig.B, fig.S}));
   const RecoveryOutcome out =
       local_detour_recovery(fig.graph, tree, fig.D, Failure::of_node(fig.A));
   EXPECT_FALSE(out.disconnected);
@@ -82,8 +82,8 @@ TEST(NodeFailureEdge, MemberLosesItsDirectParent) {
   // parent — dies; D's branch is untouched and C reattaches to it.
   const Fig1Topology fig;
   mcast::MulticastTree tree(fig.graph, fig.S);
-  tree.graft(fig.C, {fig.C, fig.A, fig.S});
-  tree.graft(fig.D, {fig.D, fig.B, fig.S});
+  tree.graft(fig.C, net::path_links(fig.graph, {fig.C, fig.A, fig.S}));
+  tree.graft(fig.D, net::path_links(fig.graph, {fig.D, fig.B, fig.S}));
   const SessionRepairReport report = repair_session(
       fig.graph, tree, Failure::of_node(fig.A), DetourPolicy::kLocal);
   EXPECT_EQ(report.disconnected_members, 1);

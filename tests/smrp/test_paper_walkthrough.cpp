@@ -72,8 +72,8 @@ TEST(PaperFig2, DisjointTreeLimitsLsaFailureToOneMember) {
   const Fig1Topology fig;
   mcast::MulticastTree tree(fig.graph, fig.S);
   // Figure 2's tree: C via A, D via B — no shared links.
-  tree.graft(fig.C, {fig.C, fig.A, fig.S});
-  tree.graft(fig.D, {fig.D, fig.B, fig.S});
+  tree.graft(fig.C, net::path_links(fig.graph, {fig.C, fig.A, fig.S}));
+  tree.graft(fig.D, net::path_links(fig.graph, {fig.D, fig.B, fig.S}));
 
   const auto alive = tree.surviving_after_link(fig.SA);
   // "at most one member suffers the service disruption".

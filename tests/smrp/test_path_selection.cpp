@@ -17,8 +17,8 @@ using testing::Fig4Topology;
 
 mcast::MulticastTree fig1_tree(const Fig1Topology& fig) {
   mcast::MulticastTree tree(fig.graph, fig.S);
-  tree.graft(fig.C, {fig.C, fig.A, fig.S});
-  tree.graft(fig.D, {fig.D, fig.A});
+  tree.graft(fig.C, net::path_links(fig.graph, {fig.C, fig.A, fig.S}));
+  tree.graft(fig.D, net::path_links(fig.graph, {fig.D, fig.A}));
   return tree;
 }
 
@@ -43,7 +43,7 @@ TEST(EnumerateCandidates, OneCandidatePerReachableMergeNode) {
 TEST(EnumerateCandidates, GraftNeverCrossesTreeEarly) {
   const Fig4Topology fig;
   mcast::MulticastTree tree(fig.graph, fig.S);
-  tree.graft(fig.E, {fig.E, fig.D, fig.A, fig.S});
+  tree.graft(fig.E, net::path_links(fig.graph, {fig.E, fig.D, fig.A, fig.S}));
   SmrpConfig config;
   const auto candidates =
       enumerate_candidates(fig.graph, tree, fig.G, 5.0, config);

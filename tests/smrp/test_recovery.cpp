@@ -17,8 +17,8 @@ using testing::Fig1Topology;
 
 mcast::MulticastTree fig1_tree(const Fig1Topology& fig) {
   mcast::MulticastTree tree(fig.graph, fig.S);
-  tree.graft(fig.C, {fig.C, fig.A, fig.S});
-  tree.graft(fig.D, {fig.D, fig.A});
+  tree.graft(fig.C, net::path_links(fig.graph, {fig.C, fig.A, fig.S}));
+  tree.graft(fig.D, net::path_links(fig.graph, {fig.D, fig.A}));
   return tree;
 }
 
@@ -34,8 +34,8 @@ TEST(WorstCaseFailure, PicksSourceIncidentLink) {
 TEST(LocalDetour, UnaffectedMemberNeedsNoRecovery) {
   const Fig1Topology fig;
   mcast::MulticastTree tree(fig.graph, fig.S);
-  tree.graft(fig.C, {fig.C, fig.A, fig.S});
-  tree.graft(fig.D, {fig.D, fig.B, fig.S});
+  tree.graft(fig.C, net::path_links(fig.graph, {fig.C, fig.A, fig.S}));
+  tree.graft(fig.D, net::path_links(fig.graph, {fig.D, fig.B, fig.S}));
   const RecoveryOutcome out =
       local_detour_recovery(fig.graph, tree, fig.D, fig.SA);
   EXPECT_FALSE(out.disconnected);
@@ -50,7 +50,7 @@ TEST(LocalDetour, FailsWhenFailureIsolatesMember) {
   g.add_link(0, 1, 1.0);
   const net::LinkId last = g.add_link(1, 2, 1.0);
   mcast::MulticastTree tree(g, 0);
-  tree.graft(2, {2, 1, 0});
+  tree.graft(2, net::path_links(g, {2, 1, 0}));
   const RecoveryOutcome out = local_detour_recovery(g, tree, 2, last);
   EXPECT_TRUE(out.disconnected);
   EXPECT_FALSE(out.recovered);
@@ -61,7 +61,7 @@ TEST(GlobalDetour, FailsWhenFailureIsolatesMember) {
   g.add_link(0, 1, 1.0);
   const net::LinkId last = g.add_link(1, 2, 1.0);
   mcast::MulticastTree tree(g, 0);
-  tree.graft(2, {2, 1, 0});
+  tree.graft(2, net::path_links(g, {2, 1, 0}));
   EXPECT_FALSE(global_detour_recovery(g, tree, 2, last).recovered);
 }
 
@@ -168,6 +168,7 @@ TEST_P(RecoveryProperty, RestorationAvoidsFailureAndEndsOnSurvivor) {
       ASSERT_TRUE(survivors[static_cast<std::size_t>(out.reattach_node)]);
       // No hop of the restoration path uses the failed link.
       const auto links = net::path_links(sc.graph, out.restoration_path);
+      ASSERT_EQ(out.restoration_links, links);
       for (const net::LinkId l : links) ASSERT_NE(l, failed);
       // Reported distance matches the path.
       ASSERT_NEAR(out.recovery_distance,

@@ -5,6 +5,7 @@
 
 #include "eval/failure_sequence.hpp"
 #include "multicast/tree_equality.hpp"
+#include "net/paths.hpp"
 #include "net/shortest_path.hpp"
 #include "net/transit_stub.hpp"
 #include "net/waxman.hpp"
@@ -19,8 +20,8 @@ using testing::Fig1Topology;
 
 mcast::MulticastTree fig1_tree(const Fig1Topology& fig) {
   mcast::MulticastTree tree(fig.graph, fig.S);
-  tree.graft(fig.C, {fig.C, fig.A, fig.S});
-  tree.graft(fig.D, {fig.D, fig.A});
+  tree.graft(fig.C, net::path_links(fig.graph, {fig.C, fig.A, fig.S}));
+  tree.graft(fig.D, net::path_links(fig.graph, {fig.D, fig.A}));
   return tree;
 }
 
@@ -108,7 +109,7 @@ TEST(RepairSession, CountsUnrecoverableMembers) {
   g.add_link(0, 1, 1.0);
   const net::LinkId last = g.add_link(1, 2, 1.0);
   mcast::MulticastTree tree(g, 0);
-  tree.graft(2, {2, 1, 0});
+  tree.graft(2, net::path_links(g, {2, 1, 0}));
   const SessionRepairReport report =
       repair_session(g, tree, Failure::of_link(last));
   EXPECT_EQ(report.disconnected_members, 1);
@@ -224,7 +225,7 @@ void expect_cached_repair_matches_full_recompute(
   const auto rejoin_in_place = [&] {
     for (const net::NodeId m : lost) {
       if (pending[static_cast<std::size_t>(m)] && ref.on_tree(m)) {
-        ref.graft(m, {m});
+        ref.graft(m, {});
         pending[static_cast<std::size_t>(m)] = 0;
       }
     }
@@ -274,6 +275,8 @@ void expect_cached_repair_matches_full_recompute(
     EXPECT_EQ(out.recovery_hops,
               expect_search.hops[static_cast<std::size_t>(expect_at)]);
     EXPECT_EQ(out.restoration_path, expect_search.path_from_source(expect_at));
+    EXPECT_EQ(out.restoration_links,
+              expect_search.link_path_from_source(expect_at));
     apply_recovery(ref, out);
     pending[static_cast<std::size_t>(out.member)] = 0;
   }
