@@ -1,6 +1,9 @@
 #include "eval/script.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -49,6 +52,25 @@ double take(std::map<std::string, double>& settings, const std::string& key,
   return v;
 }
 
+/// An integer setting of type T, at least `min`. Non-finite, fractional
+/// and out-of-range values fail with the line number instead of reaching
+/// a float-to-integer cast, which is undefined for them.
+template <class T>
+T take_integer(std::map<std::string, double>& settings, const std::string& key,
+               T fallback, T min, int line) {
+  const double value = take(settings, key, static_cast<double>(fallback));
+  // 2^digits: the first value past T's range, exact as a double.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(value >= static_cast<double>(min) && value < limit) ||
+      value != std::trunc(value)) {
+    char shown[32];
+    std::snprintf(shown, sizeof(shown), "%.17g", value);
+    fail(line, key + " needs an integer of at least " + std::to_string(min) +
+                   " in range, got " + shown);
+  }
+  return static_cast<T>(value);
+}
+
 }  // namespace
 
 ScenarioScript ScenarioScript::parse(std::istream& in) {
@@ -68,8 +90,9 @@ ScenarioScript ScenarioScript::parse(std::istream& in) {
       std::string model;
       if (!(tokens >> model)) fail(line, "topology needs a model");
       auto settings = parse_settings(tokens, line);
-      script.node_count_ = static_cast<int>(take(settings, "n", 60));
-      script.seed_ = static_cast<std::uint64_t>(take(settings, "seed", 1));
+      script.node_count_ = take_integer<int>(settings, "n", 60, 1, line);
+      script.seed_ =
+          take_integer<std::uint64_t>(settings, "seed", 1, 0, line);
       if (model == "waxman") {
         script.topology_ = Topology::kWaxman;
         script.alpha_ = take(settings, "alpha", 0.2);
@@ -79,7 +102,7 @@ ScenarioScript ScenarioScript::parse(std::istream& in) {
         script.degree_ = take(settings, "degree", 6.0);
       } else if (model == "ba") {
         script.topology_ = Topology::kBarabasiAlbert;
-        script.ba_m_ = static_cast<int>(take(settings, "m", 2));
+        script.ba_m_ = take_integer<int>(settings, "m", 2, 1, line);
       } else {
         fail(line, "unknown topology model: " + model);
       }

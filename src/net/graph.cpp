@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -40,6 +41,9 @@ void Graph::copy_from(const Graph& other) {
   packed_ = other.packed_;
   csr_valid_.store(other.csr_valid_.load(std::memory_order_acquire),
                    std::memory_order_release);
+  // Nor is the bridge tree: the copy builds its own if a search asks.
+  bridges_ = BridgeTree{};
+  bridges_version_.store(0, std::memory_order_release);
 }
 
 void Graph::move_from(Graph&& other) noexcept {
@@ -54,6 +58,9 @@ void Graph::move_from(Graph&& other) noexcept {
   packed_ = std::move(other.packed_);
   csr_valid_.store(other.csr_valid_.load(std::memory_order_acquire),
                    std::memory_order_release);
+  bridges_ = std::move(other.bridges_);
+  bridges_version_.store(other.bridges_version_.load(std::memory_order_acquire),
+                         std::memory_order_release);
 }
 
 Graph::Graph(const Graph& other) { copy_from(other); }
@@ -192,6 +199,89 @@ void Graph::rebuild_csr() const {
     packed_[cursor[static_cast<std::size_t>(l.b)]++] = Adjacency{l.a, id};
   }
   csr_valid_.store(true, std::memory_order_release);
+}
+
+void Graph::rebuild_bridge_tree() const {
+  std::lock_guard<std::mutex> lock(bridges_mutex_);
+  const std::uint64_t version = topology_version_ + 1;
+  if (bridges_version_.load(std::memory_order_relaxed) == version) return;
+
+  const auto nodes = static_cast<std::size_t>(node_count_);
+  BridgeTree& t = bridges_;
+  t.component.assign(nodes, -1);
+  t.parent.clear();
+  t.parent_link.clear();
+  t.has_child_bridge.assign(nodes, 0);
+
+  // Iterative Tarjan over the CSR. low[v] is the earliest discovery time
+  // a back link from v's DFS subtree reaches; when it is no earlier than
+  // v's own, the link v came in by is a bridge and v heads a component:
+  // the nodes discovered since v (still on `open`) are exactly its
+  // members.
+  std::vector<std::int32_t> order(nodes, -1);
+  std::vector<std::int32_t> low(nodes, 0);
+  struct Frame {
+    NodeId node;
+    LinkId via;  ///< link the DFS arrived by; kNoLink at the root
+    std::size_t next;
+  };
+  std::vector<Frame> stack;
+  std::vector<NodeId> open;
+  std::vector<NodeId> anchor;  ///< per component: parent-side endpoint
+  std::int32_t clock = 0;
+  for (NodeId root = 0; root < node_count_; ++root) {
+    const auto r = static_cast<std::size_t>(root);
+    if (order[r] >= 0) continue;
+    order[r] = low[r] = clock++;
+    open.push_back(root);
+    stack.push_back(Frame{root, kNoLink, 0});
+    while (!stack.empty()) {
+      Frame& top = stack.back();
+      const auto u = static_cast<std::size_t>(top.node);
+      const std::span<const Adjacency> row = neighbors(top.node);
+      if (top.next < row.size()) {
+        const Adjacency adj = row[top.next++];
+        if (adj.link == top.via) continue;
+        const auto v = static_cast<std::size_t>(adj.neighbor);
+        if (order[v] < 0) {
+          order[v] = low[v] = clock++;
+          open.push_back(adj.neighbor);
+          stack.push_back(Frame{adj.neighbor, adj.link, 0});  // `top` dangles
+        } else {
+          low[u] = std::min(low[u], order[v]);
+        }
+        continue;
+      }
+      const Frame done = top;
+      stack.pop_back();
+      const NodeId up = stack.empty() ? kNoNode : stack.back().node;
+      if (up != kNoNode) {
+        const auto p = static_cast<std::size_t>(up);
+        low[p] = std::min(low[p], low[u]);
+        if (low[u] <= order[p]) continue;  // u's link to `up` is on a cycle
+      }
+      const auto c = static_cast<std::int32_t>(t.parent.size());
+      NodeId x = kNoNode;
+      do {
+        x = open.back();
+        open.pop_back();
+        t.component[static_cast<std::size_t>(x)] = c;
+      } while (x != done.node);
+      t.parent.push_back(-1);
+      t.parent_link.push_back(done.via);
+      anchor.push_back(up);
+    }
+  }
+
+  // Each component hangs off the node its DFS entered it from; a part's
+  // root, the component of its lowest-numbered node, has no such node.
+  for (std::size_t c = 0; c < anchor.size(); ++c) {
+    if (anchor[c] == kNoNode) continue;
+    const auto up = static_cast<std::size_t>(anchor[c]);
+    t.parent[c] = t.component[up];
+    t.has_child_bridge[up] = 1;
+  }
+  bridges_version_.store(version, std::memory_order_release);
 }
 
 std::optional<LinkId> Graph::link_between(NodeId u, NodeId v) const {

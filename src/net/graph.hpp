@@ -22,6 +22,10 @@
 // hub-heavy construction O(Σ deg²)). The table exists only while the CSR
 // is stale: the CSR rebuild releases it, and the first add_link after a
 // read rebuilds it from the link list.
+//
+// The bridge tree (DESIGN.md §17, "Dead-end regions") is derived the same
+// way: built by the first search that asks for it after a topology change,
+// never by a graph nobody prunes a search on.
 #pragma once
 
 #include <atomic>
@@ -69,14 +73,33 @@ struct Point {
 
 [[nodiscard]] double euclidean(const Point& p, const Point& q) noexcept;
 
+/// The forest the bridges of a graph form over its 2-edge-connected
+/// components (DESIGN.md §17, "Dead-end regions"). A bridge is a link
+/// whose removal disconnects its endpoints; cutting every bridge leaves
+/// the components, and each bridge joins a component to its parent. Every
+/// connected part of the graph is rooted at the component of its
+/// lowest-numbered node.
+struct BridgeTree {
+  std::vector<std::int32_t> component;  ///< per node: its component
+  std::vector<std::int32_t> parent;     ///< per component: -1 at a root
+  std::vector<LinkId> parent_link;      ///< per component: bridge to parent
+  /// Per node: 1 when a bridge leads from it down to a child component.
+  std::vector<char> has_child_bridge;
+
+  [[nodiscard]] int component_count() const noexcept {
+    return static_cast<int>(parent.size());
+  }
+};
+
 /// Undirected weighted multigraph-free graph. Self-loops and parallel links
 /// are rejected; weights must be strictly positive.
 ///
 /// Thread-safety: mutation is single-threaded; concurrent reads are safe,
 /// including the first read after a mutation batch (the lazy CSR rebuild,
 /// which also releases the duplicate-check table, is guarded by a mutex
-/// and published with release/acquire ordering).
-/// Spans returned by neighbors() stay valid until the next mutation.
+/// and published with release/acquire ordering, and so is the lazy
+/// bridge-tree build). Spans returned by neighbors() and the
+/// bridge_tree() reference stay valid until the next mutation.
 class Graph {
  public:
   Graph() = default;
@@ -168,6 +191,17 @@ class Graph {
   /// True iff the graph stays connected after removing `failed_link`.
   [[nodiscard]] bool connected_without(LinkId failed_link) const;
 
+  /// The bridge tree of the current topology: one O(V + E) build on the
+  /// first call after a topology change (keyed to topology_version()),
+  /// shared by every later call. Copies rebuild their own on demand.
+  [[nodiscard]] const BridgeTree& bridge_tree() const {
+    if (bridges_version_.load(std::memory_order_acquire) !=
+        topology_version_ + 1) {
+      rebuild_bridge_tree();
+    }
+    return bridges_;
+  }
+
   /// Node coordinates; empty unless a generator attached them.
   [[nodiscard]] std::span<const Point> positions() const noexcept {
     return positions_;
@@ -205,6 +239,7 @@ class Graph {
   bool insert_key(std::uint64_t key) noexcept;
 
   void rebuild_csr() const;
+  void rebuild_bridge_tree() const;
   void mark_csr_stale() noexcept {
     csr_valid_.store(false, std::memory_order_relaxed);
   }
@@ -227,6 +262,13 @@ class Graph {
   mutable std::vector<Adjacency> packed_;     ///< 2 · link_count entries
   mutable std::atomic<bool> csr_valid_{false};
   mutable std::mutex csr_mutex_;
+
+  // Bridge tree, built lazily like the CSR (it reads the CSR, so its
+  // mutex is always taken first).
+  mutable BridgeTree bridges_;
+  /// topology_version_ + 1 of the build in bridges_; 0 before the first.
+  mutable std::atomic<std::uint64_t> bridges_version_{0};
+  mutable std::mutex bridges_mutex_;
 };
 
 }  // namespace smrp::net

@@ -635,15 +635,16 @@ void RoutingOracle::snapshots_changed(std::int64_t count_delta,
   }
 }
 
-void DetourSearch::compute(RoutingOracle& oracle, NodeId origin,
-                           const std::vector<char>& targets,
-                           const ExclusionSet& excluded) {
-  const RoutingOracle::WorkspaceLease lease = oracle.workspace();
-  best_ = lease->run_to_first_absorbed(oracle.graph(), origin, targets,
-                                       excluded);
-  const ShortestPathTree& search = lease->result();
+void DetourSearch::compute(const Graph& g, DijkstraWorkspace& workspace,
+                           NodeId origin, const std::vector<char>& targets,
+                           const ExclusionSet& excluded,
+                           const DeadEndMarks& marks) {
+  marks_ = &marks;
+  best_ = workspace.run_to_first_absorbed(g, origin, targets, excluded,
+                                          &marks);
+  const ShortestPathTree& search = workspace.result();
   labels_.clear();
-  for (const NodeId v : lease->labelled()) {
+  for (const NodeId v : workspace.labelled()) {
     const auto i = static_cast<std::size_t>(v);
     labels_.push_back(Label{v, search.parent[i], search.parent_link[i],
                             search.hops[i], search.dist[i]});
@@ -653,7 +654,14 @@ void DetourSearch::compute(RoutingOracle& oracle, NodeId origin,
 }
 
 void DetourSearch::add_targets(const std::vector<NodeId>& added) {
-  for (const NodeId x : added) consider(x);
+  for (const NodeId x : added) {
+    if (marks_ == nullptr || !marks_->graph()->valid_node(x) ||
+        !marks_->covered(x)) {
+      throw std::logic_error(
+          "DetourSearch::add_targets: target outside the marked region");
+    }
+    consider(x);
+  }
 }
 
 const DetourSearch::Label* DetourSearch::find(NodeId n) const noexcept {

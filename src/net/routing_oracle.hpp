@@ -353,23 +353,30 @@ class RoutingOracle {
 /// the path it yields crosses no target before its endpoint — exactly the
 /// new links a restoration graft brings in) and stops when it settles its
 /// first target: the heap pops in (dist, id) order, so that is the nearest
-/// reachable target, ties to the lowest id. The search keeps only the
-/// labels it made, so it costs the region it explored rather than the
-/// graph. As the target set grows monotonically — each applied repair
-/// pulls grafted nodes back on-tree — add_targets() updates the answer
-/// against the delta in O(|delta| log region): the snapshot stays exact
-/// because any origin→x path invalidated by the growth crosses an added
-/// node strictly earlier on the path, which the delta scan also considers,
-/// and every node that could beat the current best was settled before the
-/// stop (DESIGN.md §17).
+/// reachable target, ties to the lowest id. The search skips the dead ends
+/// `marks` leave uncovered and keeps only the labels it made, so it costs
+/// the region it explored rather than the graph. As the target set grows
+/// monotonically — each applied repair pulls grafted nodes back on-tree —
+/// add_targets() updates the answer against the delta in
+/// O(|delta| log region): the snapshot stays exact because any origin→x
+/// path invalidated by the growth crosses an added node strictly earlier
+/// on the path, which the delta scan also considers, and every node that
+/// could beat the current best was settled before the stop (DESIGN.md
+/// §17).
 class DetourSearch {
  public:
-  /// Fresh absorbing search; `targets` flags the absorbing set (sized to
-  /// the node count). Uses a workspace leased from `oracle`.
-  void compute(RoutingOracle& oracle, NodeId origin,
-               const std::vector<char>& targets, const ExclusionSet& excluded);
+  /// Fresh absorbing search over `g`, run in `workspace`; `targets` flags
+  /// the absorbing set (sized to the node count). `marks` must cover
+  /// `origin` and every node that is or may later be added as a target,
+  /// and must outlive the search's add_targets() calls; they may be the
+  /// workspace's own dead_end_marks(), so one workspace serves a repair.
+  void compute(const Graph& g, DijkstraWorkspace& workspace, NodeId origin,
+               const std::vector<char>& targets, const ExclusionSet& excluded,
+               const DeadEndMarks& marks);
 
   /// The target set grew by `added` (already flagged by the caller).
+  /// Throws std::logic_error for a node the marks do not cover: the
+  /// search never looked there, so it cannot rank it.
   void add_targets(const std::vector<NodeId>& added);
 
   [[nodiscard]] bool found() const noexcept { return best_ != kNoNode; }
@@ -398,6 +405,7 @@ class DetourSearch {
 
   std::vector<Label> labels_;  ///< every node the search labelled, by id
   NodeId best_ = kNoNode;
+  const DeadEndMarks* marks_ = nullptr;  ///< what compute() pruned by
 };
 
 }  // namespace smrp::net

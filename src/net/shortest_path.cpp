@@ -52,6 +52,27 @@ std::vector<LinkId> ShortestPathTree::link_path_from_source(
   return out;
 }
 
+void DeadEndMarks::reset(const Graph& g) {
+  for (const std::int32_t c : marked_) marks_[static_cast<std::size_t>(c)] = 0;
+  marked_.clear();
+  graph_ = &g;
+  tree_ = &g.bridge_tree();
+  const auto components = static_cast<std::size_t>(tree_->component_count());
+  if (marks_.size() != components) marks_.assign(components, 0);
+}
+
+void DeadEndMarks::mark(NodeId n) {
+  if (graph_ == nullptr || !graph_->valid_node(n)) {
+    throw std::out_of_range("DeadEndMarks::mark: bad node or no reset()");
+  }
+  for (auto c = static_cast<std::int32_t>(component(n));
+       c != -1 && marks_[static_cast<std::size_t>(c)] == 0;
+       c = tree_->parent[static_cast<std::size_t>(c)]) {
+    marks_[static_cast<std::size_t>(c)] = 1;
+    marked_.push_back(c);
+  }
+}
+
 namespace {
 
 // Deterministic queue order: lower distance first, then lower node id, so
@@ -64,7 +85,9 @@ using QueueEntry = std::pair<double, NodeId>;
 NodeId DijkstraWorkspace::run_impl(const Graph& g, NodeId source,
                                    const ExclusionSet& excluded,
                                    const std::vector<char>* absorbing,
-                                   SearchBound bound, bool stop_at_absorbed,
+                                   SearchBound bound,
+                                   const DeadEndMarks* dead_ends,
+                                   bool stop_at_absorbed,
                                    ShortestPathTree& tree) {
   if (!g.valid_node(source)) throw std::out_of_range("bad source node");
   if (excluded.node_banned(source)) {
@@ -122,9 +145,11 @@ NodeId DijkstraWorkspace::run_impl(const Graph& g, NodeId source,
       continue;
     }
 
+    const bool gated = dead_ends != nullptr && dead_ends->gated(top.second);
     for (const Adjacency& adj : g.neighbors(top.second)) {
       if (excluded.link_banned(adj.link) || excluded.node_banned(adj.neighbor))
         continue;
+      if (gated && dead_ends->dead_end(adj)) continue;
       const auto v = static_cast<std::size_t>(adj.neighbor);
       if (settled_[v]) continue;
       const double candidate = tree.dist[u] + g.link(adj.link).weight;
@@ -161,58 +186,71 @@ NodeId DijkstraWorkspace::run_impl(const Graph& g, NodeId source,
 }
 
 void DijkstraWorkspace::check_absorbing(
-    const Graph& g, NodeId source, const std::vector<char>& absorbing) const {
+    const Graph& g, NodeId source, const std::vector<char>& absorbing,
+    const DeadEndMarks* dead_ends) const {
   if (absorbing.size() != static_cast<std::size_t>(g.node_count())) {
     throw std::invalid_argument("absorbing flags sized incorrectly");
   }
   if (g.valid_node(source) && absorbing[static_cast<std::size_t>(source)]) {
     throw std::invalid_argument("source must not be absorbing");
   }
+  if (dead_ends != nullptr &&
+      (dead_ends->graph() != &g || !g.valid_node(source) ||
+       !dead_ends->covered(source))) {
+    throw std::invalid_argument(
+        "dead-end marks are not reset for this graph or miss the source");
+  }
 }
 
 const ShortestPathTree& DijkstraWorkspace::run(const Graph& g, NodeId source,
                                                const ExclusionSet& excluded) {
-  run_impl(g, source, excluded, nullptr, {}, false, tree_);
+  run_impl(g, source, excluded, nullptr, {}, nullptr, false, tree_);
   return tree_;
 }
 
 const ShortestPathTree& DijkstraWorkspace::run_absorbing(
     const Graph& g, NodeId source, const std::vector<char>& absorbing,
-    const ExclusionSet& excluded, SearchBound bound) {
-  check_absorbing(g, source, absorbing);
+    const ExclusionSet& excluded, SearchBound bound,
+    const DeadEndMarks* dead_ends) {
+  check_absorbing(g, source, absorbing, dead_ends);
   if (bound.potential != nullptr &&
       bound.potential->size() != static_cast<std::size_t>(g.node_count())) {
     throw std::invalid_argument("search potential sized incorrectly");
   }
-  run_impl(g, source, excluded, &absorbing, bound, false, tree_);
+  run_impl(g, source, excluded, &absorbing, bound, dead_ends, false, tree_);
   return tree_;
 }
 
 NodeId DijkstraWorkspace::run_to_first_absorbed(
     const Graph& g, NodeId source, const std::vector<char>& absorbing,
-    const ExclusionSet& excluded) {
-  check_absorbing(g, source, absorbing);
-  return run_impl(g, source, excluded, &absorbing, {}, true, tree_);
+    const ExclusionSet& excluded, const DeadEndMarks* dead_ends) {
+  check_absorbing(g, source, absorbing, dead_ends);
+  return run_impl(g, source, excluded, &absorbing, {}, dead_ends, true, tree_);
 }
 
 void DijkstraWorkspace::run_into(const Graph& g, NodeId source,
                                  const ExclusionSet& excluded,
                                  ShortestPathTree& out) {
-  run_impl(g, source, excluded, nullptr, {}, false, out);
+  run_impl(g, source, excluded, nullptr, {}, nullptr, false, out);
 }
 
 void DijkstraWorkspace::run_absorbing_into(const Graph& g, NodeId source,
                                            const std::vector<char>& absorbing,
                                            const ExclusionSet& excluded,
                                            ShortestPathTree& out) {
-  check_absorbing(g, source, absorbing);
-  run_impl(g, source, excluded, &absorbing, {}, false, out);
+  check_absorbing(g, source, absorbing, nullptr);
+  run_impl(g, source, excluded, &absorbing, {}, nullptr, false, out);
 }
 
 std::vector<char>& DijkstraWorkspace::node_flags(NodeId node_count) {
   const auto n = static_cast<std::size_t>(node_count);
   if (flags_.size() != n) flags_.assign(n, 0);
   return flags_;
+}
+
+DeadEndMarks& DijkstraWorkspace::dead_end_marks(const Graph& g) {
+  dead_ends_.reset(g);
+  return dead_ends_;
 }
 
 ShortestPathTree dijkstra(const Graph& g, NodeId source,

@@ -140,6 +140,59 @@ struct SearchBound {
   double limit = kInfinity;
 };
 
+/// Marks over a graph's bridge tree that prune an absorbing search of its
+/// dead ends (DESIGN.md §17, "Dead-end regions"). A component is marked
+/// when its subtree holds a marked node. The region below a bridge meets
+/// the rest of the graph only at that bridge, so a search from outside
+/// can only enter it to come back the way it came: a search given these
+/// marks skips every bridge down into a subtree that holds no mark, and
+/// every label outside such a subtree, settle order and tie-breaks
+/// included, stays exactly what the unpruned search gives. The caller
+/// marks the search's origin and every node that is or may become one of
+/// its targets; a pruned search reaches exactly the covered() nodes.
+class DeadEndMarks {
+ public:
+  /// Bind to `g`'s bridge tree (building it on first use) with no mark
+  /// set: the previous marks are undone by list, not by an O(components)
+  /// fill.
+  void reset(const Graph& g);
+
+  /// Mark `n`: its component and every ancestor up to the first one
+  /// already marked. Requires reset().
+  void mark(NodeId n);
+
+  /// True when `n`'s component is marked: a pruned search may reach it.
+  [[nodiscard]] bool covered(NodeId n) const {
+    return marks_[component(n)] != 0;
+  }
+
+  /// The graph the marks were last reset() for.
+  [[nodiscard]] const Graph* graph() const noexcept { return graph_; }
+
+  /// One byte per pop: whether `u` has a bridge down to a child
+  /// component, the only kind of link dead_end() can reject.
+  [[nodiscard]] bool gated(NodeId u) const noexcept {
+    return tree_->has_child_bridge[static_cast<std::size_t>(u)] != 0;
+  }
+  /// True when `adj`, leaving a gated node, is a bridge down into a child
+  /// subtree that holds no mark.
+  [[nodiscard]] bool dead_end(const Adjacency& adj) const noexcept {
+    const std::size_t c = component(adj.neighbor);
+    return tree_->parent_link[c] == adj.link && marks_[c] == 0;
+  }
+
+ private:
+  [[nodiscard]] std::size_t component(NodeId n) const noexcept {
+    return static_cast<std::size_t>(
+        tree_->component[static_cast<std::size_t>(n)]);
+  }
+
+  const Graph* graph_ = nullptr;
+  const BridgeTree* tree_ = nullptr;
+  std::vector<char> marks_;             ///< per component
+  std::vector<std::int32_t> marked_;    ///< components to unmark on reset
+};
+
 /// Reusable scratch space for repeated Dijkstra runs. A single run
 /// allocates four result vectors plus the queue and settled flags; hot
 /// paths (candidate enumeration, per-member recovery searches) run
@@ -158,21 +211,25 @@ class DijkstraWorkspace {
   /// workspace; callers that need the result to outlive it use run_into.
   const ShortestPathTree& run(const Graph& g, NodeId source,
                               const ExclusionSet& excluded = ExclusionSet{});
-  /// Absorbing run (see dijkstra_absorbing), optionally pruned by `bound`;
-  /// nodes the bound cuts off read as unreachable.
+  /// Absorbing run (see dijkstra_absorbing), optionally pruned by `bound`
+  /// and by `dead_ends` (reset for `g`, the source covered); nodes either
+  /// cuts off read as unreachable.
   const ShortestPathTree& run_absorbing(
       const Graph& g, NodeId source, const std::vector<char>& absorbing,
-      const ExclusionSet& excluded = ExclusionSet{}, SearchBound bound = {});
+      const ExclusionSet& excluded = ExclusionSet{}, SearchBound bound = {},
+      const DeadEndMarks* dead_ends = nullptr);
 
   /// Absorbing run that stops as soon as it settles its first absorbing
   /// node: the nearest one, ties to the lowest id, because the queue pops
   /// in (dist, id) order. Returns that node, or kNoNode when no absorbing
   /// node is reachable. result() then holds final labels for every node
   /// settled before the stop; other labelled nodes carry tentative
-  /// distances no smaller than their true ones.
+  /// distances no smaller than their true ones. `dead_ends` prunes as in
+  /// run_absorbing.
   NodeId run_to_first_absorbed(const Graph& g, NodeId source,
                                const std::vector<char>& absorbing,
-                               const ExclusionSet& excluded = ExclusionSet{});
+                               const ExclusionSet& excluded = ExclusionSet{},
+                               const DeadEndMarks* dead_ends = nullptr);
 
   /// Same as run/run_absorbing, but fill a caller-owned tree (reusing its
   /// capacity; every entry is rewritten); only the queue/settled scratch
@@ -200,12 +257,17 @@ class DijkstraWorkspace {
   /// next user can rely on the all-zero state without an O(nodes) fill.
   [[nodiscard]] std::vector<char>& node_flags(NodeId node_count);
 
+  /// Pooled dead-end marks, reset for `g` (no mark set).
+  [[nodiscard]] DeadEndMarks& dead_end_marks(const Graph& g);
+
  private:
   NodeId run_impl(const Graph& g, NodeId source, const ExclusionSet& excluded,
                   const std::vector<char>* absorbing, SearchBound bound,
-                  bool stop_at_absorbed, ShortestPathTree& out);
+                  const DeadEndMarks* dead_ends, bool stop_at_absorbed,
+                  ShortestPathTree& out);
   void check_absorbing(const Graph& g, NodeId source,
-                       const std::vector<char>& absorbing) const;
+                       const std::vector<char>& absorbing,
+                       const DeadEndMarks* dead_ends) const;
 
   ShortestPathTree tree_;  ///< result of run()/run_absorbing()
   /// Whether the last run wrote tree_ and recorded labelled_ (so the
@@ -215,6 +277,7 @@ class DijkstraWorkspace {
   std::vector<std::pair<double, NodeId>> heap_;  ///< (dist, node) min-heap
   std::vector<char> settled_;
   std::vector<char> flags_;                      ///< see node_flags()
+  DeadEndMarks dead_ends_;                       ///< see dead_end_marks()
 };
 
 /// Dijkstra over the whole graph.

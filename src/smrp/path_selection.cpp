@@ -154,9 +154,15 @@ std::vector<JoinCandidate> enumerate_candidates(
         source_spf != nullptr
             ? net::SearchBound{&source_spf->dist, bound + 1e-9 * bound}
             : net::SearchBound{};
+    // The search also skips dead ends (DESIGN.md §17, "Dead-end
+    // regions"): bridge-separated regions that hold neither the joiner
+    // nor any on-tree node, so no graft can enter them.
+    net::DeadEndMarks& dead_ends = lease->dead_end_marks(g);
+    dead_ends.mark(joiner);
+    for (const NodeId n : on_tree) dead_ends.mark(n);
     const auto collect = [&](net::SearchBound b) {
       const net::ShortestPathTree& grafts =
-          lease->run_absorbing(g, joiner, flags, excluded, b);
+          lease->run_absorbing(g, joiner, flags, excluded, b, &dead_ends);
       for (const NodeId merge : reached_merges(grafts)) {
         push_candidate(merge, grafts);
       }

@@ -1,6 +1,7 @@
 #include "smrp/recovery.hpp"
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 
@@ -95,9 +96,16 @@ RecoveryOutcome local_detour_recovery(const Graph& g,
   oracle = ensure_oracle(g, oracle, owned);
   // Survivors absorb the search: a restoration path never crosses one
   // surviving node on the way to another, so the path it yields is exactly
-  // the set of new links brought into the tree.
+  // the set of new links brought into the tree. Marking the member and
+  // the survivors lets it skip every dead end (DESIGN.md §17).
+  const net::RoutingOracle::WorkspaceLease lease = oracle->workspace();
+  net::DeadEndMarks& marks = lease->dead_end_marks(g);
+  marks.mark(member);
+  for (const NodeId n : tree.on_tree_nodes()) {
+    if (survivors[static_cast<std::size_t>(n)] != 0) marks.mark(n);
+  }
   net::DetourSearch detour;
-  detour.compute(*oracle, member, survivors, excluded);
+  detour.compute(g, *lease, member, survivors, excluded, marks);
   if (!detour.found()) return out;  // recovered stays false
 
   const NodeId best = detour.best_target();
@@ -201,9 +209,22 @@ SessionRepairReport repair_session(const Graph& g, MulticastTree& tree,
 
   // The surviving tree as flags, kept in lockstep with every graft below.
   // After sever, every on-tree node survives by construction.
+  const std::vector<NodeId> survivors = tree.on_tree_nodes();
   std::vector<char> on_tree(static_cast<std::size_t>(g.node_count()), 0);
-  for (const NodeId n : tree.on_tree_nodes()) {
-    on_tree[static_cast<std::size_t>(n)] = 1;
+  for (const NodeId n : survivors) on_tree[static_cast<std::size_t>(n)] = 1;
+
+  // kLocal's detour searches skip dead ends (DESIGN.md §17, "Dead-end
+  // regions"). Each runs from a lost member to the surviving tree, and a
+  // later graft adds only nodes that such a search labelled, so marking
+  // the survivors and the lost members covers every target add_targets
+  // will be given. One leased workspace holds the marks and runs every
+  // detour search of the repair; kGlobal leases none here.
+  std::optional<net::RoutingOracle::WorkspaceLease> lease;
+  net::DeadEndMarks* marks = nullptr;
+  if (policy == DetourPolicy::kLocal) {
+    marks = &lease.emplace(oracle->workspace())->dead_end_marks(g);
+    for (const NodeId n : survivors) marks->mark(n);
+    for (const NodeId m : lost) marks->mark(m);
   }
 
   // One search per lost member for the whole repair, not one per member
@@ -273,7 +294,7 @@ SessionRepairReport repair_session(const Graph& g, MulticastTree& tree,
     c.outcome.failed_node = failure.node;
     c.outcome.disconnected = true;
     if (policy == DetourPolicy::kLocal) {
-      c.detour.compute(*oracle, member, on_tree, excluded);
+      c.detour.compute(g, **lease, member, on_tree, excluded, *marks);
       if (c.detour.found()) adopt_local(c);
     } else {
       c.spf = oracle->spf(member, excluded);

@@ -97,6 +97,37 @@ TEST(ScenarioScript, RejectsUnknownSettings) {
       std::invalid_argument);
 }
 
+// n, seed and m are integers: a non-finite, fractional or out-of-range
+// value, or a count below 1, is a line-numbered parse error, never a
+// float-to-integer cast (undefined behaviour for such values).
+TEST(ScenarioScript, RejectsNonIntegerTopologySettings) {
+  for (const std::string bad :
+       {"waxman n=1e300", "waxman n=2.5", "waxman n=0", "waxman n=-3",
+        "waxman n=nan", "waxman n=inf", "waxman n=2147483648",
+        "waxman seed=-1", "waxman seed=1.5", "waxman seed=1e20",
+        "waxman seed=nan", "erdos seed=-inf", "ba m=nan", "ba m=0",
+        "ba m=1e300", "ba n=30 m=2.5"}) {
+    const std::string key = bad.substr(bad.rfind(' ') + 1,
+                                       bad.rfind('=') - bad.rfind(' ') - 1);
+    try {
+      ScenarioScript::parse_string("# settings\ntopology " + bad +
+                                   "\nrun 10\n");
+      ADD_FAILURE() << "accepted: " << bad;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+      EXPECT_NE(what.find(key + " needs an integer"), std::string::npos)
+          << what;
+    }
+  }
+  // Integral values in range, written any way stod reads them, still
+  // parse.
+  EXPECT_NO_THROW(ScenarioScript::parse_string(
+      "topology waxman n=3e1 seed=0\nrun 10\n"));
+  EXPECT_NO_THROW(ScenarioScript::parse_string(
+      "topology ba n=30 m=1 seed=9007199254740992\nrun 10\n"));
+}
+
 TEST(ScenarioScript, RejectsEventsPastHorizon) {
   EXPECT_THROW(ScenarioScript::parse_string(R"(
 topology waxman n=30

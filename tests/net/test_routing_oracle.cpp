@@ -253,14 +253,21 @@ TEST(DetourSearch, MatchesFreshScanAndDeltaUpdates) {
   WaxmanParams wax;
   wax.node_count = 50;
   const Graph g = waxman_graph(wax, rng);
-  RoutingOracle oracle(g);
+  DijkstraWorkspace workspace;
 
   std::vector<char> targets(static_cast<std::size_t>(g.node_count()), 0);
   for (NodeId t : {NodeId{3}, NodeId{17}, NodeId{29}}) targets[t] = 1;
   const NodeId origin = 40;
+  const std::vector<NodeId> delta = {NodeId{8}, NodeId{44}};
+  DeadEndMarks marks;
+  marks.reset(g);
+  for (NodeId n : {origin, NodeId{3}, NodeId{17}, NodeId{29}, delta[0],
+                   delta[1]}) {
+    marks.mark(n);
+  }
 
   DetourSearch search;
-  search.compute(oracle, origin, targets, ExclusionSet{});
+  search.compute(g, workspace, origin, targets, ExclusionSet{}, marks);
 
   auto fresh_best = [&]() {
     const ShortestPathTree fresh = dijkstra_absorbing(g, origin, targets);
@@ -282,16 +289,84 @@ TEST(DetourSearch, MatchesFreshScanAndDeltaUpdates) {
 
   // Grow the target set and check the O(|delta|) refresh against the
   // fresh answer over the same (grown) set.
-  const std::vector<NodeId> delta = {NodeId{8}, NodeId{44}};
   for (NodeId t : delta) targets[static_cast<std::size_t>(t)] = 1;
   search.add_targets(delta);
   ASSERT_TRUE(search.found());
   EXPECT_EQ(search.best_target(), fresh_best());
 }
 
-// compute() stops at the first target it settles and keeps only the
-// labels it made; the answer, its detour, and every delta update must
-// still match a full absorbing search over the grown target set.
+/// Grow a detour search's target set `rounds` times on `g` and check the
+/// answer, its detour and every delta update against the free
+/// dijkstra_absorbing over the grown set. The marks cover the origin, the
+/// targets and every future delta, as repair_session's do.
+void expect_detour_matches_full_search(const Graph& g,
+                                       DijkstraWorkspace& workspace, Rng& rng,
+                                       bool ban_node) {
+  const auto n = static_cast<std::uint64_t>(g.node_count());
+  std::vector<char> targets(static_cast<std::size_t>(n), 0);
+  for (int k = 0; k < 3; ++k) targets[rng.below(n)] = 1;
+  NodeId origin = kNoNode;
+  while (origin == kNoNode || targets[static_cast<std::size_t>(origin)]) {
+    origin = static_cast<NodeId>(rng.below(n));
+  }
+  ExclusionSet excluded(g);
+  excluded.ban_link(static_cast<LinkId>(
+      rng.below(static_cast<std::uint64_t>(g.link_count()))));
+  if (ban_node) {
+    const auto dead = static_cast<NodeId>(rng.below(n));
+    if (dead != origin) excluded.ban_node(dead);
+  }
+  constexpr int kRounds = 4;
+  std::vector<std::vector<NodeId>> deltas(kRounds);
+  std::vector<char> future = targets;
+  for (std::vector<NodeId>& delta : deltas) {
+    for (int k = 0; k < 2; ++k) {
+      const auto t = static_cast<NodeId>(rng.below(n));
+      if (t == origin || future[static_cast<std::size_t>(t)]) continue;
+      future[static_cast<std::size_t>(t)] = 1;
+      delta.push_back(t);
+    }
+  }
+  DeadEndMarks marks;
+  marks.reset(g);
+  marks.mark(origin);
+  for (NodeId t = 0; t < g.node_count(); ++t) {
+    if (future[static_cast<std::size_t>(t)]) marks.mark(t);
+  }
+
+  DetourSearch search;
+  search.compute(g, workspace, origin, targets, excluded, marks);
+  // The target set only grows, and the snapshot is kept, as in
+  // repair_session: the fresh reference uses the grown set.
+  for (const std::vector<NodeId>& delta : deltas) {
+    const ShortestPathTree fresh =
+        dijkstra_absorbing(g, origin, targets, excluded);
+    NodeId best = kNoNode;
+    for (NodeId t = 0; t < g.node_count(); ++t) {
+      if (!targets[static_cast<std::size_t>(t)] || !fresh.reachable(t)) {
+        continue;
+      }
+      if (best == kNoNode || fresh.dist[static_cast<std::size_t>(t)] <
+                                 fresh.dist[static_cast<std::size_t>(best)]) {
+        best = t;
+      }
+    }
+    ASSERT_EQ(search.best_target(), best);
+    if (best != kNoNode) {
+      EXPECT_EQ(search.distance(), fresh.dist[static_cast<std::size_t>(best)]);
+      EXPECT_EQ(search.hops(), fresh.hops[static_cast<std::size_t>(best)]);
+      EXPECT_EQ(search.path(), fresh.path_from_source(best));
+      EXPECT_EQ(search.links(), fresh.link_path_from_source(best));
+    }
+    for (const NodeId t : delta) targets[static_cast<std::size_t>(t)] = 1;
+    search.add_targets(delta);
+  }
+}
+
+// compute() stops at the first target it settles, skips dead ends and
+// keeps only the labels it made; the answer, its detour, and every delta
+// update must still match a full absorbing search over the grown target
+// set, on a dense transit-stub graph and on bridge-rich ones.
 TEST(DetourSearch, EarlyExitMatchesFullSearchAcrossGrowth) {
   Rng rng(31);
   TransitStubParams params;
@@ -299,54 +374,47 @@ TEST(DetourSearch, EarlyExitMatchesFullSearchAcrossGrowth) {
   params.stubs_per_transit = 3;
   params.stub_size = 8;
   const TransitStubTopology topo = generate_transit_stub(params, rng);
-  const Graph& g = topo.graph;
-  RoutingOracle oracle(g);
-  const auto n = static_cast<std::uint64_t>(g.node_count());
-
+  DijkstraWorkspace workspace;
   for (int trial = 0; trial < 20; ++trial) {
-    std::vector<char> targets(static_cast<std::size_t>(n), 0);
-    for (int k = 0; k < 3; ++k) targets[rng.below(n)] = 1;
-    NodeId origin = kNoNode;
-    while (origin == kNoNode || targets[static_cast<std::size_t>(origin)]) {
-      origin = static_cast<NodeId>(rng.below(n));
-    }
-    ExclusionSet excluded(g);
-    excluded.ban_link(static_cast<LinkId>(
-        rng.below(static_cast<std::uint64_t>(g.link_count()))));
-
-    DetourSearch search;
-    search.compute(oracle, origin, targets, excluded);
-    // The target set only grows, and the snapshot is kept, as in
-    // repair_session: the fresh reference uses the grown set.
-    for (int growth = 0; growth < 4; ++growth) {
-      const ShortestPathTree fresh =
-          dijkstra_absorbing(g, origin, targets, excluded);
-      NodeId best = kNoNode;
-      for (NodeId t = 0; t < g.node_count(); ++t) {
-        if (!targets[static_cast<std::size_t>(t)] || !fresh.reachable(t)) {
-          continue;
-        }
-        if (best == kNoNode || fresh.dist[static_cast<std::size_t>(t)] <
-                                   fresh.dist[static_cast<std::size_t>(best)]) {
-          best = t;
-        }
+    expect_detour_matches_full_search(topo.graph, workspace, rng,
+                                      trial % 2 == 1);
+  }
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng graphs(seed * 6151);
+    for (const Graph& g : testing::bridge_rich_graphs(graphs)) {
+      DijkstraWorkspace bridged;
+      for (int trial = 0; trial < 10; ++trial) {
+        expect_detour_matches_full_search(g, bridged, rng, trial % 2 == 1);
       }
-      ASSERT_EQ(search.best_target(), best);
-      if (best != kNoNode) {
-        EXPECT_EQ(search.distance(), fresh.dist[static_cast<std::size_t>(best)]);
-        EXPECT_EQ(search.hops(), fresh.hops[static_cast<std::size_t>(best)]);
-        EXPECT_EQ(search.path(), fresh.path_from_source(best));
-      }
-      std::vector<NodeId> delta;
-      for (int k = 0; k < 2; ++k) {
-        const auto t = static_cast<NodeId>(rng.below(n));
-        if (t == origin || targets[static_cast<std::size_t>(t)]) continue;
-        targets[static_cast<std::size_t>(t)] = 1;
-        delta.push_back(t);
-      }
-      search.add_targets(delta);
     }
   }
+}
+
+// A caller that under-marks must fail loudly: a target outside the marked
+// region was never looked at, so the search cannot rank it.
+TEST(DetourSearch, AddTargetsRejectsUncoveredNodes) {
+  // Path 0 – 1 – 2 – 3 – 4: every link is a bridge.
+  Graph g(5);
+  for (NodeId n = 0; n + 1 < 5; ++n) g.add_link(n, n + 1, 1.0);
+  DijkstraWorkspace workspace;
+  std::vector<char> targets(5, 0);
+  targets[0] = 1;
+  // Marks for the origin 1, the target 0 and the later target 2 cover
+  // nodes 0..2; 4 hangs below an unmarked bridge.
+  DeadEndMarks marks;
+  marks.reset(g);
+  for (const NodeId n : {1, 0, 2}) marks.mark(n);
+  DetourSearch search;
+  search.compute(g, workspace, 1, targets, ExclusionSet{}, marks);
+  ASSERT_EQ(search.best_target(), 0);
+  targets[4] = 1;
+  EXPECT_THROW(search.add_targets({4}), std::logic_error);
+  EXPECT_THROW(search.add_targets({5}), std::logic_error);
+  targets[2] = 1;
+  EXPECT_NO_THROW(search.add_targets({2}));
+  EXPECT_EQ(search.best_target(), 0);
+  DetourSearch unmarked;
+  EXPECT_THROW(unmarked.add_targets({2}), std::logic_error);
 }
 
 TEST(RoutingOracle, ConcurrentLookupsKeepInvariants) {

@@ -209,16 +209,67 @@ void expect_same_lists(const std::vector<JoinCandidate>& a,
   for (std::size_t i = 0; i < a.size(); ++i) expect_same_candidate(a[i], b[i]);
 }
 
+/// enumerate_candidates' avoid-tree result recomputed from the free,
+/// unpruned dijkstra_absorbing (the reference): every on-tree node
+/// absorbs, a reshaping member's own subtree is no merge node, and each
+/// reached merge node is one candidate, in ascending id order.
+std::vector<JoinCandidate> reference_candidates(
+    const net::Graph& g, const MulticastTree& tree, NodeId joiner,
+    double spf_delay, const SmrpConfig& config, bool reshaping,
+    const net::ExclusionSet* unusable, int& reached) {
+  const double bound = (1.0 + config.d_thresh) * spf_delay + 1e-9;
+  const auto candidate = [&](NodeId merge, std::vector<NodeId> graft,
+                             double graft_delay) {
+    JoinCandidate c;
+    c.merge_node = merge;
+    c.graft = std::move(graft);
+    c.graft_delay = graft_delay;
+    c.total_delay = graft_delay + tree.delay_to_source(merge);
+    c.shr = reshaping ? tree.shr_excluding_subtree(merge, joiner)
+                      : tree.shr(merge);
+    c.within_bound = c.total_delay <= bound;
+    return c;
+  };
+  reached = 0;
+  if (!reshaping && tree.on_tree(joiner)) {
+    return {candidate(joiner, {joiner}, 0.0)};
+  }
+  std::vector<char> absorbing(static_cast<std::size_t>(g.node_count()), 0);
+  for (const NodeId n : tree.on_tree_nodes()) {
+    absorbing[static_cast<std::size_t>(n)] = n != joiner ? 1 : 0;
+  }
+  const net::ShortestPathTree search = net::dijkstra_absorbing(
+      g, joiner, absorbing,
+      unusable != nullptr ? *unusable : net::ExclusionSet{});
+  for (NodeId n = 0; n < g.node_count(); ++n) reached += search.reachable(n);
+  std::vector<JoinCandidate> out;
+  for (const NodeId m : tree.on_tree_nodes()) {
+    if (!search.reachable(m) || m == joiner) continue;
+    if (reshaping && tree.is_ancestor_or_self(joiner, m)) continue;
+    out.push_back(candidate(m, search.path_from_source(m),
+                            search.dist[static_cast<std::size_t>(m)]));
+  }
+  return out;
+}
+
 struct DifferentialTally {
   int joins = 0;
   int fallbacks = 0;
   int reshape_checks = 0;
   int pruned = 0;  ///< candidates the bound left out
+  int dead_end_skips = 0;  ///< nodes the reference labelled, pruned runs not
 };
+
+/// The node count the oracle's last pooled search labelled (single
+/// threaded, the pool hands back the workspace enumerate_candidates used).
+int last_labelled(net::RoutingOracle& oracle) {
+  return static_cast<int>(oracle.workspace()->labelled().size());
+}
 
 /// Grow a session on `g`, and before every join compare the bounded and
 /// the unbounded enumeration for the joiner and for a reshaping member,
-/// optionally with random failed links passed as `unusable`.
+/// optionally with random failed links passed as `unusable`. Both prune
+/// dead ends; the unbounded one must return exactly the reference list.
 void run_bound_differential(const net::Graph& g, double d_thresh,
                             bool failed_links, std::uint64_t seed,
                             DifferentialTally& tally) {
@@ -243,6 +294,13 @@ void run_bound_differential(const net::Graph& g, double d_thresh,
 
     const auto plain = enumerate_candidates(g, tree, joiner, spf, config,
                                             std::nullopt, unusable, &oracle);
+    int reached = 0;
+    expect_same_lists(reference_candidates(g, tree, joiner, spf, config,
+                                           false, unusable, reached),
+                      plain);
+    if (!tree.on_tree(joiner)) {
+      tally.dead_end_skips += reached - last_labelled(oracle);
+    }
     const auto bounded =
         enumerate_candidates(g, tree, joiner, spf, config, std::nullopt,
                              unusable, &oracle, source_spf.get());
@@ -264,6 +322,9 @@ void run_bound_differential(const net::Graph& g, double d_thresh,
       const double m_spf = builder.spf_delay(m);
       const auto plain_moves = enumerate_candidates(g, tree, m, m_spf, config,
                                                     m, unusable, &oracle);
+      expect_same_lists(reference_candidates(g, tree, m, m_spf, config, true,
+                                             unusable, reached),
+                        plain_moves);
       const auto bounded_moves =
           enumerate_candidates(g, tree, m, m_spf, config, m, unusable, &oracle,
                                source_spf.get());
@@ -278,10 +339,13 @@ void run_bound_differential(const net::Graph& g, double d_thresh,
   }
 }
 
-// The delay bound prunes the candidate search (DESIGN.md §17); it must
-// never change a selection: every within-bound candidate comes back with
-// the same graft and delays, so select_path and the reshape choice agree,
-// and a join that no candidate fits falls back over the full list.
+// The delay bound and the dead-end marks prune the candidate search
+// (DESIGN.md §17); they must never change a selection: the unbounded
+// search returns exactly the free search's candidates, every within-bound
+// candidate comes back from the bounded one with the same graft and
+// delays, so select_path and the reshape choice agree, and a join that no
+// candidate fits falls back over the full list. Bridge-rich graphs give
+// the marks plenty to skip.
 TEST(BoundedEnumeration, SelectsExactlyWhatTheFullSearchSelects) {
   DifferentialTally tally;
   for (const double d_thresh : {0.0, 0.05, 0.3, 1.0}) {
@@ -301,13 +365,19 @@ TEST(BoundedEnumeration, SelectsExactlyWhatTheFullSearchSelects) {
             net::generate_transit_stub(ts, rng);
         run_bound_differential(topo.graph, d_thresh, failed_links, seed + 100,
                                tally);
+
+        for (const net::Graph& g : testing::bridge_rich_graphs(rng)) {
+          run_bound_differential(g, d_thresh, failed_links, seed + 200, tally);
+        }
       }
     }
   }
-  EXPECT_EQ(tally.joins, 4 * 2 * 3 * 2 * 25);
+  EXPECT_EQ(tally.joins, 4 * 2 * 3 * 5 * 25);
   EXPECT_GT(tally.reshape_checks, tally.joins / 2);
   EXPECT_GT(tally.fallbacks, 0) << "the unbounded re-run was never taken";
   EXPECT_GT(tally.pruned, 0) << "the bound never pruned a candidate";
+  EXPECT_GT(tally.dead_end_skips, tally.joins)
+      << "the dead-end marks never pruned";
 }
 
 }  // namespace

@@ -203,13 +203,14 @@ TEST_P(RepairSessionProperty, TreeValidAndFailureFreeAfterEveryRepair) {
 // reattach point, distance and restoration path each round.
 void expect_cached_repair_matches_full_recompute(
     const net::Graph& g, const mcast::MulticastTree& original,
-    const Failure& failure) {
+    const Failure& failure, const net::ExclusionSet* already_failed = nullptr) {
   mcast::MulticastTree fast = original;
-  const SessionRepairReport report =
-      repair_session(g, fast, failure, DetourPolicy::kLocal);
+  const SessionRepairReport report = repair_session(
+      g, fast, failure, DetourPolicy::kLocal, already_failed);
 
   mcast::MulticastTree ref = original;
-  net::ExclusionSet excluded(g);
+  net::ExclusionSet excluded =
+      already_failed != nullptr ? *already_failed : net::ExclusionSet(g);
   std::vector<net::NodeId> lost;
   if (failure.kind == Failure::Kind::kLink) {
     lost = ref.sever(failure.link);
@@ -281,6 +282,13 @@ void expect_cached_repair_matches_full_recompute(
     pending[static_cast<std::size_t>(out.member)] = 0;
   }
   rejoin_in_place();
+  // Whoever the repair gave up on has no detour left.
+  for (const net::NodeId m : lost) {
+    if (!pending[static_cast<std::size_t>(m)]) continue;
+    net::ShortestPathTree search;
+    net::NodeId at = net::kNoNode;
+    EXPECT_FALSE(best_for(m, search, at)) << "member " << m;
+  }
   EXPECT_EQ(fast.member_count(), ref.member_count());
 }
 
@@ -334,10 +342,114 @@ TEST_P(RepairSessionProperty, CachedRepairMatchesPerRoundFullRecompute) {
                                 : topo.graph.link(ts_victim).a;
   expect_cached_repair_matches_full_recompute(topo.graph, tree,
                                               Failure::of_node(below));
+
+  // Bridge-rich graphs (DESIGN.md §17, "Dead-end regions"): every detour
+  // search skips the regions behind bridges that hold neither a survivor
+  // nor a lost member, and must still pick exactly what the unpruned
+  // per-round recompute picks, with and without earlier failures.
+  for (const net::Graph& bridged : testing::bridge_rich_graphs(rng)) {
+    const auto n = static_cast<std::uint64_t>(bridged.node_count());
+    SmrpTreeBuilder b(bridged, 0);
+    for (int i = 0; i < 16; ++i) {
+      b.join(static_cast<net::NodeId>(1 + rng.below(n - 1)));
+    }
+    const mcast::MulticastTree& t = b.tree();
+    const net::LinkId cut = busiest_source_link(t);
+    ASSERT_NE(cut, net::kNoLink);
+    expect_cached_repair_matches_full_recompute(bridged, t,
+                                                Failure::of_link(cut));
+    const net::NodeId head = bridged.link(cut).a == 0 ? bridged.link(cut).b
+                                                      : bridged.link(cut).a;
+    expect_cached_repair_matches_full_recompute(bridged, t,
+                                                Failure::of_node(head));
+    // Earlier failures off the tree: a few links and one node.
+    net::ExclusionSet earlier(bridged);
+    for (int k = 0; k < 3; ++k) {
+      const auto l = static_cast<net::LinkId>(
+          rng.below(static_cast<std::uint64_t>(bridged.link_count())));
+      const net::Link& link = bridged.link(l);
+      if (t.parent_link(link.a) != l && t.parent_link(link.b) != l) {
+        earlier.ban_link(l);
+      }
+    }
+    const auto dead = static_cast<net::NodeId>(rng.below(n));
+    if (!t.on_tree(dead)) earlier.ban_node(dead);
+    expect_cached_repair_matches_full_recompute(
+        bridged, t, Failure::of_link(cut), &earlier);
+    expect_cached_repair_matches_full_recompute(
+        bridged, t, Failure::of_node(head), &earlier);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RepairSessionProperty,
                          ::testing::Values(10, 20, 30, 40));
+
+/// Nodes the last search of each of the oracle's pooled workspaces
+/// labelled (a workspace keeps its labels until its next run).
+std::vector<net::NodeId> pooled_labels(net::RoutingOracle& oracle) {
+  std::vector<net::RoutingOracle::WorkspaceLease> leases;
+  for (int k = 0; k < 4; ++k) leases.push_back(oracle.workspace());
+  std::vector<net::NodeId> out;
+  for (const auto& lease : leases) {
+    out.insert(out.end(), lease->labelled().begin(), lease->labelled().end());
+  }
+  return out;
+}
+
+// Every stub of a transit-stub graph hangs off one access bridge, so a
+// detour search out of a stub has no reason to enter a stub that holds no
+// tree node and no lost member (DESIGN.md §17, "Dead-end regions").
+TEST(DeadEndPruning, DetourFromAStubSkipsStubsWithoutTreeNodes) {
+  net::Rng rng(2718);
+  net::TransitStubParams ts;
+  ts.transit_nodes = 6;
+  ts.stubs_per_transit = 4;
+  ts.stub_size = 8;
+  const net::TransitStubTopology topo = net::generate_transit_stub(ts, rng);
+  const net::Graph& g = topo.graph;
+  const auto stub_nodes = static_cast<std::uint64_t>(
+      g.node_count() - ts.transit_nodes);
+  SmrpTreeBuilder builder(g, 0);
+  for (int i = 0; i < 8; ++i) {
+    builder.join(static_cast<net::NodeId>(ts.transit_nodes +
+                                          rng.below(stub_nodes)));
+  }
+  const mcast::MulticastTree& tree = builder.tree();
+  // Stubs the session touches; the lost members lie in these too.
+  std::vector<char> touched(static_cast<std::size_t>(topo.domain_count()), 0);
+  for (const net::NodeId n : tree.on_tree_nodes()) {
+    touched[static_cast<std::size_t>(
+        topo.domain_of_node[static_cast<std::size_t>(n)])] = 1;
+  }
+  int searches = 0;
+  int labels = 0;
+  const auto expect_only_touched_stubs = [&](net::RoutingOracle& oracle) {
+    for (const net::NodeId v : pooled_labels(oracle)) {
+      const net::DomainId d = topo.domain_of_node[static_cast<std::size_t>(v)];
+      EXPECT_TRUE(touched[static_cast<std::size_t>(d)])
+          << "node " << v << " of untouched stub " << d << " was labelled";
+      ++labels;
+    }
+  };
+  for (const net::NodeId m : tree.members()) {
+    net::RoutingOracle oracle(g);
+    const RecoveryOutcome out = local_detour_recovery(
+        g, tree, m, Failure::of_link(worst_case_failure_link(tree, m)),
+        &oracle);
+    ASSERT_TRUE(out.disconnected);
+    expect_only_touched_stubs(oracle);
+    ++searches;
+  }
+  net::RoutingOracle oracle(g);
+  mcast::MulticastTree repaired = tree;
+  const SessionRepairReport report = repair_session(
+      g, repaired, Failure::of_link(busiest_source_link(tree)),
+      DetourPolicy::kLocal, nullptr, nullptr, &oracle);
+  EXPECT_GT(report.disconnected_members, 0);
+  expect_only_touched_stubs(oracle);
+  EXPECT_GT(searches, 4);
+  EXPECT_GT(labels, 8 * searches) << "the searches left their stubs";
+}
 
 }  // namespace
 }  // namespace smrp::proto

@@ -2,7 +2,13 @@
 // paper's illustrative figures. Node letters map to dense ids.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "net/graph.hpp"
+#include "net/random_graphs.hpp"
+#include "net/rng.hpp"
+#include "net/transit_stub.hpp"
 
 namespace smrp::testing {
 
@@ -89,6 +95,57 @@ inline Graph grid3x3() {
     }
   }
   return g;
+}
+
+/// A random tree (each node hangs off a uniformly drawn earlier one) plus
+/// up to `chords` short chords, each from a node to its grandparent or
+/// great-grandparent: a few triangles and squares, and every other link a
+/// bridge. Weights are uniform in [1, 10).
+inline Graph tree_with_chords(int nodes, int chords, net::Rng& rng) {
+  Graph g(nodes);
+  std::vector<NodeId> parent(static_cast<std::size_t>(nodes), net::kNoNode);
+  for (NodeId v = 1; v < nodes; ++v) {
+    parent[static_cast<std::size_t>(v)] =
+        static_cast<NodeId>(rng.below(static_cast<std::uint64_t>(v)));
+    g.add_link(v, parent[static_cast<std::size_t>(v)], rng.uniform(1.0, 10.0));
+  }
+  // A node's own chord is the only link between it and that ancestor.
+  std::vector<char> has_chord(static_cast<std::size_t>(nodes), 0);
+  for (int k = 0; k < chords && nodes > 1; ++k) {
+    const auto v = static_cast<NodeId>(
+        1 + rng.below(static_cast<std::uint64_t>(nodes - 1)));
+    NodeId up = v;
+    const int climb = 2 + static_cast<int>(rng.below(2));
+    for (int i = 0; i < climb && up != net::kNoNode; ++i) {
+      up = parent[static_cast<std::size_t>(up)];
+    }
+    if (up == net::kNoNode || has_chord[static_cast<std::size_t>(v)]) continue;
+    has_chord[static_cast<std::size_t>(v)] = 1;
+    g.add_link(v, up, rng.uniform(1.0, 10.0));
+  }
+  return g;
+}
+
+/// Bridge-rich graphs for the dead-end pruning tests (DESIGN.md §17),
+/// each drawn from `rng`: a random tree with short chords, a
+/// Barabási–Albert m = 1 graph (a tree), and a transit-stub graph whose
+/// 1–7-node stubs are sparse (stub α = 0.05), so each hangs off its access
+/// bridge with further bridges inside.
+inline std::vector<Graph> bridge_rich_graphs(net::Rng& rng) {
+  std::vector<Graph> out;
+  out.push_back(tree_with_chords(
+      60 + static_cast<int>(rng.below(60)), 12, rng));
+  net::BarabasiAlbertParams ba;
+  ba.node_count = 50 + static_cast<int>(rng.below(50));
+  ba.edges_per_node = 1;
+  out.push_back(net::barabasi_albert_graph(ba, rng));
+  net::TransitStubParams ts;
+  ts.transit_nodes = 4 + static_cast<int>(rng.below(4));
+  ts.stubs_per_transit = 2 + static_cast<int>(rng.below(3));
+  ts.stub_size = 1 + static_cast<int>(rng.below(7));
+  ts.stub_alpha = 0.05;
+  out.push_back(net::generate_transit_stub(ts, rng).graph);
+  return out;
 }
 
 }  // namespace smrp::testing
