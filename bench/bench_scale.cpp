@@ -11,7 +11,10 @@
 // nodes, and the million-member scale1m point) use the SPF baseline
 // engine, whose O(path + depth) joins (a parent-pointer walk and one
 // graft) make session count — not per-join search — the measured
-// variable. EXPERIMENTS.md records the tier rationale.
+// variable. smrp100k runs the SMRP engine on the 100k-node shape, so
+// its joins/s measures SMRP's own joins and reshapes at that size; it
+// runs last, so adding it moved no earlier tier. EXPERIMENTS.md records
+// the tier rationale.
 //
 // Flags: the shared bench::Runner set, plus two this binary owns —
 //   --smoke             reduced CI-sized tiers (BENCH_scale-smoke.json);
@@ -21,9 +24,16 @@
 //
 // Per tier the bench emits three kinds of series:
 //   <tier>/det_*        bit-deterministic at a fixed seed for ANY worker
-//                       count (members, links, joins) — CI regression-
-//                       gates these exactly via bench_diff --series
-//                       '*/det_*', including a workers=1 vs workers=4 diff;
+//                       count (members, links, joins, Condition-I reshape
+//                       attempts and reshapes; the last two are 0 on the
+//                       SPF engine) — CI regression-gates these exactly
+//                       via bench_diff --series '*/det_*', including a
+//                       workers=1 vs workers=4 diff;
+//   <tier>/reshape_searches_per_join
+//                       the reshape attempts that ran a candidate search
+//                       rather than repeating a stored decline
+//                       (DESIGN.md §17), per join: deterministic too, but
+//                       a cost figure, reported rather than gated;
 //   <tier>/oracle_hit_pct, <tier>/oracle_full_runs
 //                       the lookup total is deterministic for any worker
 //                       count (the workers share ONE lock-striped oracle,
@@ -41,7 +51,8 @@
 //                       same tier — the session-level parallel payoff.
 //                       peak_rss is the process VmHWM after the tier's
 //                       sessions are built and still resident, so it is
-//                       monotone across tiers (tiers run smallest-first);
+//                       monotone across tiers (tiers run smallest-first,
+//                       smrp100k last, so it reads the run's peak);
 //                       where getrusage cannot report it the series is
 //                       omitted with a warning instead of recording 0.
 //
@@ -122,6 +133,8 @@ std::vector<Tier> full_tiers() {
        session_load(1000, 4, 2000, 2.0, eval::SessionEngine::kSpf), 64},
       {"scale1m", transit_stub(100, 9, 111),
        session_load(2200, 16, 3000, 1.0, eval::SessionEngine::kSpf, 0.8), 64},
+      {"smrp100k", transit_stub(100, 9, 111),
+       session_load(300, 4, 2000, 2.0, eval::SessionEngine::kSmrp), 64},
   };
 }
 
@@ -136,6 +149,8 @@ std::vector<Tier> smoke_tiers() {
        session_load(60, 2, 64, 2.0, eval::SessionEngine::kSpf), 8},
       {"scale1m", transit_stub(16, 5, 12),
        session_load(90, 4, 96, 1.0, eval::SessionEngine::kSpf, 0.8), 8},
+      {"smrp100k", transit_stub(16, 5, 12),
+       session_load(60, 2, 64, 2.0, eval::SessionEngine::kSmrp), 8},
   };
 }
 
@@ -246,6 +261,14 @@ int main(int argc, char** argv) {
       rec.add(prefix + "/det_tree_links",
               static_cast<double>(report.tree_links));
       rec.add(prefix + "/det_joins", static_cast<double>(report.join_ops));
+      rec.add(prefix + "/det_reshape_attempts",
+              static_cast<double>(report.reshape_attempts));
+      rec.add(prefix + "/det_reshapes", static_cast<double>(report.reshapes));
+      rec.add(prefix + "/reshape_searches_per_join",
+              report.join_ops > 0
+                  ? static_cast<double>(report.reshape_searches) /
+                        static_cast<double>(report.join_ops)
+                  : 0.0);
       rec.add(prefix + "/oracle_hit_pct", hit_pct);
       rec.add(prefix + "/oracle_full_runs",
               static_cast<double>(report.oracle.full_runs));
@@ -269,7 +292,8 @@ int main(int argc, char** argv) {
 
   // Human-readable tier table from the recorded series.
   eval::Table table({"tier", "members", "tree links", "joins",
-                     "oracle hit %", "full runs", "joins/s", "wall s", "gain",
+                     "reshape attempts", "searches/join", "oracle hit %",
+                     "full runs", "joins/s", "wall s", "gain",
                      "peak RSS MiB"});
   for (const Tier& tier : tiers) {
     const std::string p = tier.name;
@@ -278,6 +302,10 @@ int main(int argc, char** argv) {
     table.add_row({p, eval::Table::fixed(res.summary(p + "/det_members").mean, 0),
                    eval::Table::fixed(res.summary(p + "/det_tree_links").mean, 0),
                    eval::Table::fixed(res.summary(p + "/det_joins").mean, 0),
+                   eval::Table::fixed(
+                       res.summary(p + "/det_reshape_attempts").mean, 0),
+                   eval::Table::fixed(
+                       res.summary(p + "/reshape_searches_per_join").mean, 3),
                    eval::Table::fixed(
                        res.summary(p + "/oracle_hit_pct").mean, 1),
                    eval::Table::fixed(

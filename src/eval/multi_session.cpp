@@ -169,6 +169,10 @@ MultiSessionReport MultiSessionDriver::finalize(
     report_.aggregate_members += tree.member_count();
     report_.tree_links += static_cast<std::int64_t>(tree.tree_links().size());
     report_.total_tree_cost += tree.total_cost();
+    if (s.smrp) {
+      report_.reshape_attempts += s.smrp->reshape_attempts();
+      report_.reshape_searches += s.smrp->reshape_searches();
+    }
   }
   report_.oracle += oracle_.stats();
   return report_;

@@ -81,6 +81,10 @@ struct MultiSessionReport {
   std::int64_t churn_events = 0;
   std::int64_t reshapes = 0;        ///< SMRP engine only
   std::int64_t fallback_joins = 0;  ///< SMRP engine only
+  /// Σ SmrpTreeBuilder::reshape_attempts() / reshape_searches() over
+  /// sessions (SMRP engine only).
+  std::int64_t reshape_attempts = 0;
+  std::int64_t reshape_searches = 0;
   std::int64_t tree_links = 0;      ///< Σ links carrying some session
   double total_tree_cost = 0.0;     ///< Σ Cost_T over sessions
   /// Shared-oracle counters for the whole run; the cache-hit fraction is

@@ -39,8 +39,49 @@ const net::ShortestPathTree* SmrpTreeBuilder::bounding_spf() const noexcept {
                                                 : nullptr;
 }
 
-void SmrpTreeBuilder::record_baseline(NodeId member) {
-  shr_baseline_[member] = tree_.shr(member);
+std::int32_t SmrpTreeBuilder::confining_region(NodeId member) const {
+  const net::BridgeTree& bridges = g_->bridge_tree();
+  const auto component = [&](NodeId n) {
+    return bridges.component[static_cast<std::size_t>(n)];
+  };
+  const std::int32_t top = component(tree_.source());
+  std::int32_t region = component(member);
+  if (region == top) return kNoRegion;
+  for (std::int32_t up = bridges.parent[static_cast<std::size_t>(region)];
+       up != top; up = bridges.parent[static_cast<std::size_t>(region)]) {
+    if (up < 0) return kNoRegion;  // not below the source's component
+    region = up;
+  }
+  // The exit node's own search leaves the region through its bridge.
+  const net::Link& bridge =
+      g_->link(bridges.parent_link[static_cast<std::size_t>(region)]);
+  const NodeId exit = component(bridge.a) == region ? bridge.a : bridge.b;
+  return member == exit ? kNoRegion : region;
+}
+
+void SmrpTreeBuilder::touch_region(std::int32_t region) {
+  if (region != kNoRegion) region_stamps_[region] = ++stamp_;
+}
+
+std::uint64_t SmrpTreeBuilder::region_stamp(std::int32_t region) {
+  std::uint64_t& stamp = region_stamps_[region];
+  if (stamp <= invalidated_at_) stamp = ++stamp_;
+  return stamp;
+}
+
+void SmrpTreeBuilder::record_join(NodeId member, bool selected) {
+  Baseline state;
+  state.shr = tree_.shr(member);
+  // Regions follow the topology the bridge tree was built for; once it
+  // moves nothing is skipped, so nothing needs tracking either.
+  if (bounding_spf() != nullptr) {
+    state.region = confining_region(member);
+    if (state.region != kNoRegion) {
+      touch_region(state.region);
+      if (selected) state.decided = region_stamp(state.region);
+    }
+  }
+  baselines_[member] = state;
 }
 
 JoinOutcome SmrpTreeBuilder::join(NodeId member) {
@@ -63,7 +104,7 @@ JoinOutcome SmrpTreeBuilder::join(NodeId member) {
   if (!selection) return outcome;
 
   tree_.graft(member, net::path_links(*g_, selection->chosen.graft));
-  record_baseline(member);
+  record_join(member, selection->chosen.graft.size() > 1);
 
   outcome.joined = true;
   outcome.used_fallback = selection->used_fallback;
@@ -96,7 +137,7 @@ JoinOutcome SmrpTreeBuilder::join_along(NodeId member,
     throw std::invalid_argument("graft path must start at the joining member");
   }
   tree_.graft(member, net::path_links(*g_, graft));
-  record_baseline(member);
+  record_join(member, false);
   outcome.joined = true;
   outcome.merge_node = graft.back();
   outcome.total_delay = tree_.delay_to_source(member);
@@ -108,18 +149,31 @@ JoinOutcome SmrpTreeBuilder::join_along(NodeId member,
 
 void SmrpTreeBuilder::leave(NodeId member) {
   tree_.leave(member);
-  shr_baseline_.erase(member);
+  const auto entry = baselines_.find(member);
+  touch_region(entry->second.region);
+  baselines_.erase(entry);
 }
 
-bool SmrpTreeBuilder::try_reshape(NodeId member) {
-  if (!tree_.is_member(member)) return false;
+bool SmrpTreeBuilder::try_reshape(NodeId member, Baseline& state) {
   const NodeId up = tree_.parent(member);
   if (up == net::kNoNode) return false;
+  ++reshape_attempts_;
+
+  // A confined member's decision depends on its region's tree alone
+  // (DESIGN.md §17, "Region-local Condition-I decisions"), so while the
+  // region is as it was at its last decision and no member outside every
+  // region has moved since, the decline stands.
+  const net::ShortestPathTree* bound = bounding_spf();
+  const bool tracked = bound != nullptr && state.region != kNoRegion;
+  if (tracked && state.decided > invalidated_at_ &&
+      region_stamps_.find(state.region)->second == state.decided) {
+    return false;
+  }
+  ++reshape_searches_;
 
   const double spf = spf_delay(member);
   std::vector<JoinCandidate> candidates = enumerate_candidates(
-      *g_, tree_, member, spf, config_, member, nullptr, oracle_,
-      bounding_spf());
+      *g_, tree_, member, spf, config_, member, nullptr, oracle_, bound);
 
   // The comparison baseline: the member's current merge point is its
   // upstream node; adjust its SHR exactly as candidate SHRs are adjusted
@@ -136,19 +190,31 @@ bool SmrpTreeBuilder::try_reshape(NodeId member) {
       best = &c;
     }
   }
-  if (best == nullptr) return false;
-  const bool better =
-      best->shr < current_shr ||
-      (best->shr == current_shr && best->total_delay + 1e-9 < current_delay);
-  if (!better) return false;
   // A candidate that merely re-walks the current attachment — whether the
   // single upstream edge or a multi-hop graft retracing the member's
   // existing relay chain — is a no-op; moving along it would churn
   // move_subtree without changing the tree.
-  if (graft_rewalks_attachment(tree_, member, best->graft)) return false;
+  const bool better =
+      best != nullptr &&
+      (best->shr < current_shr ||
+       (best->shr == current_shr &&
+        best->total_delay + 1e-9 < current_delay)) &&
+      !graft_rewalks_attachment(tree_, member, best->graft);
+  if (!better) {
+    if (tracked) state.decided = region_stamp(state.region);
+    return false;
+  }
 
   tree_.move_subtree(member, net::path_links(*g_, best->graft));
-  record_baseline(member);
+  state.shr = tree_.shr(member);
+  state.decided = 0;
+  // A confined move changes its own region only; any other move may
+  // change the delay to the source of every region below it.
+  if (state.region != kNoRegion) {
+    touch_region(state.region);
+  } else {
+    invalidated_at_ = stamp_;
+  }
   ++reshape_count_;
   return true;
 }
@@ -158,20 +224,20 @@ int SmrpTreeBuilder::condition_one_sweep() {
   bool progressed = true;
   while (progressed && switches < config_.max_reshapes_per_event) {
     progressed = false;
-    for (const NodeId member : tree_.members()) {
-      const auto baseline = shr_baseline_.find(member);
-      if (baseline == shr_baseline_.end()) continue;
-      if (tree_.shr(member) - baseline->second < config_.reshape_shr_delta) {
+    // Ascending by member; nothing joins or leaves during the sweep, so
+    // the entries stay where they are.
+    for (auto& [member, state] : baselines_) {
+      if (tree_.shr(member) - state.shr < config_.reshape_shr_delta) {
         continue;
       }
-      if (try_reshape(member)) {
+      if (try_reshape(member, state)) {
         ++switches;
         progressed = true;
         if (switches >= config_.max_reshapes_per_event) break;
       } else {
         // Selection declined to move: reset the reference so the same
         // growth does not retrigger a no-op scan on every later join.
-        record_baseline(member);
+        state.shr = tree_.shr(member);
       }
     }
   }
@@ -180,8 +246,8 @@ int SmrpTreeBuilder::condition_one_sweep() {
 
 int SmrpTreeBuilder::reshape_pass() {
   int switches = 0;
-  for (const NodeId member : tree_.members()) {
-    if (try_reshape(member)) ++switches;
+  for (auto& [member, state] : baselines_) {
+    if (try_reshape(member, state)) ++switches;
   }
   return switches;
 }

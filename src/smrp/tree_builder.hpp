@@ -87,16 +87,57 @@ class SmrpTreeBuilder {
   }
   [[nodiscard]] int total_reshapes() const noexcept { return reshape_count_; }
 
+  /// Reshape attempts (Condition I and II alike) on members with an
+  /// upstream node: each either ran the candidate search or repeated a
+  /// stored decline (DESIGN.md §17, "Region-local Condition-I
+  /// decisions").
+  [[nodiscard]] std::int64_t reshape_attempts() const noexcept {
+    return reshape_attempts_;
+  }
+  /// The attempts that ran the candidate search.
+  [[nodiscard]] std::int64_t reshape_searches() const noexcept {
+    return reshape_searches_;
+  }
+
  private:
+  /// Marks a member whose decisions are not confined to a region.
+  static constexpr std::int32_t kNoRegion = -1;
+
+  /// One member's Condition-I state.
+  struct Baseline {
+    int shr = 0;  ///< SHR(S,R) at the member's last join/reshape
+    /// The region the member's reshape decisions are confined to.
+    std::int32_t region = kNoRegion;
+    /// Stamp of `region` at the member's last decision that a later
+    /// attempt may repeat without searching: its join along the selected
+    /// path, or its last declined search. 0 = none.
+    std::uint64_t decided = 0;
+  };
+
   /// Re-run selection for `member` (as a subtree move); switch if strictly
-  /// better. Returns true if the member moved.
-  bool try_reshape(NodeId member);
+  /// better, or decline at once while `state` holds a current decision.
+  /// Returns true if the member moved.
+  bool try_reshape(NodeId member, Baseline& state);
 
   /// Condition I: sweep members whose SHR grew ≥ config.reshape_shr_delta
   /// since their last (re)join; bounded by max_reshapes_per_event.
   int condition_one_sweep();
 
-  void record_baseline(NodeId member);
+  /// Baseline and region bookkeeping for a member that just joined;
+  /// `selected` says the join took select_join_path's choice from off the
+  /// tree, which implies its first reshape declines.
+  void record_join(NodeId member, bool selected);
+
+  /// The bridge subtree directly below the source's 2-edge-connected
+  /// component that holds `member`, or kNoRegion when there is none or
+  /// `member` is its end of the bridge out of it.
+  [[nodiscard]] std::int32_t confining_region(NodeId member) const;
+
+  /// A join, leave or move changed `region`'s tree (no-op for kNoRegion).
+  void touch_region(std::int32_t region);
+
+  /// `region`'s stamp, refreshed when it predates the last invalidation.
+  std::uint64_t region_stamp(std::int32_t region);
 
   /// spf_from_source_ as the potential that bounds the join and reshape
   /// searches, or null once the topology has moved since it was fetched:
@@ -113,11 +154,19 @@ class SmrpTreeBuilder {
   net::RoutingOracle* oracle_;
   net::RoutingOracle::TreePtr spf_from_source_;
   std::uint64_t spf_version_;  ///< topology version spf_from_source_ is for
-  /// SHR(S,R) observed at member R's last join/reshape (Condition I
-  /// reference), kept for members only: no key means no baseline.
-  FlatMap<NodeId, int> shr_baseline_;
+  /// Condition-I state per member; its keys are exactly the members.
+  FlatMap<NodeId, Baseline> baselines_;
+  /// Per touched region, the stamp of its last change. Stamps come from
+  /// one counter; a decision is current while its stamp is its region's
+  /// and newer than `invalidated_at_`, the counter's value at the last
+  /// move by a member with no region.
+  FlatMap<std::int32_t, std::uint64_t> region_stamps_;
+  std::uint64_t stamp_ = 0;
+  std::uint64_t invalidated_at_ = 0;
   int fallback_joins_ = 0;
   int reshape_count_ = 0;
+  std::int64_t reshape_attempts_ = 0;
+  std::int64_t reshape_searches_ = 0;
 };
 
 }  // namespace smrp::proto

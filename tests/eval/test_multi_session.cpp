@@ -154,6 +154,8 @@ TEST(MultiSessionDriver, RunSeededIsWorkerInvariant) {
       EXPECT_EQ(r.tree_links, base.tree_links) << workers;
       EXPECT_EQ(r.reshapes, base.reshapes) << workers;
       EXPECT_EQ(r.fallback_joins, base.fallback_joins) << workers;
+      EXPECT_EQ(r.reshape_attempts, base.reshape_attempts) << workers;
+      EXPECT_EQ(r.reshape_searches, base.reshape_searches) << workers;
       EXPECT_EQ(r.total_tree_cost, base.total_tree_cost) << workers;
       EXPECT_EQ(r.oracle.lookups, base.oracle.lookups) << workers;
       // Shared-cache counter invariants hold exactly under contention,

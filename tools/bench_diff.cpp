@@ -3,20 +3,25 @@
 //   bench_diff [--threshold R] [--metrics m1,m2] [--series GLOB]
 //              <baseline.json> <candidate.json>
 //
-// Compares the summary statistics of every series present in BOTH files
-// (series only one side carries are listed, never judged — benches grow
-// series over time) and fails when any watched metric drifts by more than
-// the relative threshold:
+// Compares the summary statistics of every watched series — every series
+// by default, or those whose name matches `--series`, a shell-style glob
+// (obs::expect::glob_match, the same matcher trace_report's --runs uses)
+// — and fails when any watched metric drifts by more than the relative
+// threshold:
 //
 //   delta = (candidate - baseline) / |baseline|
 //
-// A zero baseline against a non-zero candidate counts as infinite drift.
-// Watched metrics default to mean and p99; `--series` scopes the check to
-// series whose name matches a shell-style glob (obs::expect::glob_match,
-// the same matcher trace_report's --runs uses). The default threshold of
-// 0.25 suits deterministic series; loosen it for wall-clock-like ones.
+// A zero baseline against a non-zero candidate counts as infinite drift,
+// and a watched baseline series the candidate lacks counts as drift too:
+// a gate that passed when a series vanished would pass a bench that
+// stopped reporting it. Series only the candidate carries are listed,
+// never judged — benches grow series over time. Watched metrics default
+// to mean and p99. The default threshold of 0.25 suits deterministic
+// series; loosen it for wall-clock-like ones.
 //
-// Exit codes: 0 within threshold, 1 drift detected, 2 usage/parse error.
+// Exit codes: 0 within threshold, 1 drift detected (a DRIFT table names
+// each metric that moved and each series that went missing), 2
+// usage/parse error.
 // CI diffs freshly-regenerated bench JSON against the committed baseline,
 // so a silent perf or behaviour regression fails the build with a table
 // naming the series that moved.
@@ -349,7 +354,7 @@ int main(int argc, char** argv) {
   Table table({"series", "metric", "baseline", "candidate", "delta", "ok"});
   int compared = 0;
   int drifted = 0;
-  int baseline_only = 0;
+  int missing = 0;
   for (const auto& [name, base_stats] : baseline.series) {
     if (!series_glob.empty() &&
         !smrp::obs::expect::glob_match(series_glob, name)) {
@@ -357,7 +362,8 @@ int main(int argc, char** argv) {
     }
     const auto cand_it = candidate.series.find(name);
     if (cand_it == candidate.series.end()) {
-      ++baseline_only;
+      ++missing;
+      table.add_row({name, "(series)", "present", "missing", "-", "DRIFT"});
       continue;
     }
     for (const std::string& metric : metrics) {
@@ -400,21 +406,21 @@ int main(int argc, char** argv) {
   std::cout << "bench_diff: " << compared << " metric comparisons, "
             << drifted << " over the " << Table::fixed(100.0 * threshold, 0)
             << "% threshold";
-  if (baseline_only > 0) {
-    std::cout << "; " << baseline_only << " series only in baseline";
+  if (missing > 0) {
+    std::cout << "; " << missing << " watched series missing from candidate";
   }
   if (candidate_only > 0) {
     std::cout << "; " << candidate_only << " series only in candidate";
   }
   std::cout << "\n";
-  if (compared == 0) {
+  if (compared == 0 && missing == 0) {
     std::cerr << "bench_diff: no comparable series"
               << (series_glob.empty() ? ""
                                       : " matching \"" + series_glob + "\"")
               << "\n";
     return 2;
   }
-  if (drifted > 0) {
+  if (drifted > 0 || missing > 0) {
     std::cout << table.render();
     return 1;
   }
