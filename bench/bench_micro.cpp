@@ -164,42 +164,6 @@ std::vector<net::ExclusionSet> failure_chain(const net::Graph& g,
   return chain;
 }
 
-// Baseline for BM_OracleRecovery: the pre-oracle behaviour, one fresh
-// full Dijkstra per failure step.
-void BM_FreshRecovery(benchmark::State& state) {
-  const net::Graph g = make_graph(static_cast<int>(state.range(0)));
-  const auto chain = failure_chain(g, 0, 20);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net::dijkstra(g, 0));
-    for (const net::ExclusionSet& dead : chain) {
-      benchmark::DoNotOptimize(net::dijkstra(g, 0, dead));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int>(chain.size() + 1));
-}
-BENCHMARK(BM_FreshRecovery)->Arg(100)->Arg(200)->Arg(400);
-
-// The same chain through the oracle. invalidate() at the top of each
-// iteration flushes the cache, so what is measured is one full run plus
-// one *incremental repair* per failure step (not the trivial cache-hit
-// path) — the acceptance gate wants this ≥1.5x over BM_FreshRecovery.
-void BM_OracleRecovery(benchmark::State& state) {
-  const net::Graph g = make_graph(static_cast<int>(state.range(0)));
-  const auto chain = failure_chain(g, 0, 20);
-  net::RoutingOracle oracle(g);
-  for (auto _ : state) {
-    oracle.invalidate();
-    benchmark::DoNotOptimize(oracle.spf(0));
-    for (const net::ExclusionSet& dead : chain) {
-      benchmark::DoNotOptimize(oracle.spf(0, dead));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int>(chain.size() + 1));
-}
-BENCHMARK(BM_OracleRecovery)->Arg(100)->Arg(200)->Arg(400);
-
 // run_sweep's workload: member sets on one topology share the oracle, so
 // every join after the first set is served from cache.
 void BM_OracleJoinSweep(benchmark::State& state) {
@@ -223,15 +187,15 @@ void BM_OracleJoinSweep(benchmark::State& state) {
 BENCHMARK(BM_OracleJoinSweep)->Arg(100)->Arg(200);
 
 // ---------------------------------------------------------------------------
-// Shared-oracle hammers (DESIGN.md §16): K threads against ONE lock-striped
+// Shared-oracle hammers (DESIGN.md §16): K threads against ONE
 // RoutingOracle on a transit-stub topology — the run_seeded worker shape.
 // BM_SharedOracleHammer is the hit path (prewarmed transit-core snapshots;
-// measures striped-lookup throughput as K grows). BM_SharedOracleMissSweep
-// is the dedup'd-miss case: every thread walks the same failure chain, so
-// concurrent misses on one key are memoized and the whole run computes each
-// key once (the `computed` counter vs `keys`). BM_PrivateOracle* are the
-// pre-§16 comparison — one oracle per thread, so each thread recomputes
-// every key and `computed` scales with K.
+// measures lookup throughput through the oracle's one lock as K grows).
+// BM_SharedOracleMissSweep is the dedup'd-miss case: every thread walks the
+// same failure chain, so concurrent misses on one key are memoized and the
+// whole run computes each key once (the `computed` counter vs `keys`).
+// BM_PrivateOracle* are the pre-§16 comparison — one oracle per thread, so
+// each thread recomputes every key and `computed` scales with K.
 
 net::TransitStubTopology hammer_topology() {
   net::Rng rng(42);
@@ -240,12 +204,6 @@ net::TransitStubTopology hammer_topology() {
   p.stubs_per_transit = 4;
   p.stub_size = 8;  // 396 nodes: big enough to dwarf lock costs
   return net::generate_transit_stub(p, rng);
-}
-
-net::RoutingOracle::Config hammer_config() {
-  net::RoutingOracle::Config config;
-  config.max_entries = 4096;  // no eviction: the sweep measures dedup
-  return config;
 }
 
 // google-benchmark only synchronizes threads at the state-loop boundary;
@@ -266,7 +224,7 @@ void BM_SharedOracleHammer(benchmark::State& state) {
   static net::RoutingOracle* oracle = nullptr;
   if (state.thread_index() == 0) {
     topo = new net::TransitStubTopology(hammer_topology());
-    oracle = new net::RoutingOracle(topo->graph, hammer_config());
+    oracle = new net::RoutingOracle(topo->graph);
     for (const net::NodeId s : topo->nodes_of_domain[net::kTransitDomain]) {
       oracle->spf(s);  // prewarm: the loop measures pure hits
     }
@@ -306,7 +264,7 @@ void BM_SharedOracleMissSweep(benchmark::State& state) {
   static std::vector<net::ExclusionSet>* chain = nullptr;
   if (state.thread_index() == 0) {
     topo = new net::TransitStubTopology(hammer_topology());
-    oracle = new net::RoutingOracle(topo->graph, hammer_config());
+    oracle = new net::RoutingOracle(topo->graph);
     chain = new std::vector<net::ExclusionSet>(
         failure_chain(topo->graph, 0, 200));
   }
@@ -345,7 +303,7 @@ void BM_PrivateOracleHammer(benchmark::State& state) {
   hammer_wait_ready(state);
   // Pre-§16 shape: each thread owns an oracle, so every thread pays its
   // own prewarm (untimed here) and holds its own snapshot copies.
-  net::RoutingOracle oracle(topo->graph, hammer_config());
+  net::RoutingOracle oracle(topo->graph);
   const std::vector<net::NodeId>& sources =
       topo->nodes_of_domain[net::kTransitDomain];
   for (const net::NodeId s : sources) oracle.spf(s);
@@ -381,7 +339,7 @@ void BM_PrivateOracleMissSweep(benchmark::State& state) {
     hammer_ready.store(true, std::memory_order_release);
   }
   hammer_wait_ready(state);
-  net::RoutingOracle oracle(topo->graph, hammer_config());
+  net::RoutingOracle oracle(topo->graph);
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(oracle.spf(0, (*chain)[i % chain->size()]));

@@ -19,7 +19,7 @@
 // Flags: the shared bench::Runner set, plus two this binary owns —
 //   --smoke             reduced CI-sized tiers (BENCH_scale-smoke.json);
 //   --workers N         session worker threads per tier (default 1, ≥ 1):
-//                       sessions are dealt round-robin to N threads that
+//                       N threads take sessions as they free up and
 //                       share the tier's one oracle (DESIGN.md §14, §16).
 //
 // Per tier the bench emits three kinds of series:
@@ -36,7 +36,7 @@
 //                       a cost figure, reported rather than gated;
 //   <tier>/oracle_hit_pct, <tier>/oracle_full_runs
 //                       the lookup total is deterministic for any worker
-//                       count (the workers share ONE lock-striped oracle,
+//                       count (the workers share ONE oracle,
 //                       DESIGN.md §16), but the hit/full-run split can
 //                       move with thread scheduling, so these are
 //                       reported rather than exactly gated. full_runs is

@@ -34,9 +34,9 @@ FailureSequenceResult run_failure_sequence(const FailureSequenceParams& p,
   const std::vector<net::NodeId> members =
       pick_members(g, source, p.scenario.group_size, rng);
 
-  // One oracle for the whole sequence: each step's exclusion set is the
-  // previous one plus the new victim, so the kGlobal per-member SPFs are
-  // served by incremental repair of the step before's cached trees.
+  // One oracle for the whole sequence: the builders' joins share its
+  // cached source SPF, and every repair step leases its pooled workspaces
+  // and caches its kGlobal post-failure SPFs there.
   net::RoutingOracle oracle(g);
   proto::SmrpTreeBuilder smrp_builder(g, source, p.scenario.smrp, &oracle);
   baseline::SpfTreeBuilder spf_builder(g, source, &oracle);

@@ -1,6 +1,7 @@
 #include "eval/multi_session.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
 #include <thread>
@@ -191,15 +192,19 @@ MultiSessionReport MultiSessionDriver::run_seeded(
 
   std::vector<MultiSessionReport> partials(
       static_cast<std::size_t>(workers));
+  std::atomic<int> next_session{0};
   auto worker = [&](int w) {
     MultiSessionReport& local = partials[static_cast<std::size_t>(w)];
-    // Round-robin deal: session i belongs to worker i % workers, and its
-    // entire random stream is trial_seed(seed, i) — ownership, worker
-    // count, and completion order leave no trace in the outcome. Every
-    // worker routes through the driver's one lock-striped oracle, so an
-    // SPF snapshot is computed once run-wide no matter which worker
-    // needs it first (DESIGN.md §16).
-    for (int i = w; i < params_.sessions; i += workers) {
+    // Sessions go to whichever worker frees up first, so a few large
+    // sessions do not pile onto one worker. Session i's entire random
+    // stream is trial_seed(seed, i), and the partials hold integer sums
+    // only — ownership, worker count, and completion order leave no
+    // trace in the outcome. Every worker routes through the driver's one
+    // oracle, so an SPF snapshot is computed once run-wide no matter
+    // which worker needs it first (DESIGN.md §16).
+    for (int i = next_session.fetch_add(1, std::memory_order_relaxed);
+         i < params_.sessions;
+         i = next_session.fetch_add(1, std::memory_order_relaxed)) {
       net::Rng rng(trial_seed(seed, i));
       build_and_churn(sessions_[static_cast<std::size_t>(i)],
                       pool[static_cast<std::size_t>(i) % pool.size()], rng,

@@ -59,9 +59,9 @@ struct MultiSessionParams {
   double churn_events_per_session = 4.0;
   SessionEngine engine = SessionEngine::kSmrp;
   proto::SmrpConfig smrp{};
-  /// Worker threads for run_seeded() (DESIGN.md §14, §16): sessions are
-  /// dealt round-robin to this many workers, all routing through the
-  /// driver's ONE lock-striped RoutingOracle. Session outcomes derive
+  /// Worker threads for run_seeded() (DESIGN.md §14, §16): each worker
+  /// takes the next unbuilt session as it frees up, all routing through
+  /// the driver's ONE RoutingOracle. Session outcomes derive
   /// only from per-session RNG streams and the (deterministic) oracle
   /// answers, so every aggregate — including total oracle lookups — is
   /// byte-identical for any value; only the cache hit/miss split moves
@@ -112,9 +112,9 @@ class MultiSessionDriver {
   /// otherwise `params.source_pool` ids evenly spread over the graph.
   ///
   /// Session i draws every random decision from its own stream
-  /// (trial_seed(seed, i)), sessions are dealt round-robin to
-  /// params.workers threads, and ALL workers route through the driver's
-  /// shared lock-striped oracle — identical (source, exclusion)
+  /// (trial_seed(seed, i)), params.workers threads take sessions from
+  /// one counter as they free up, and ALL workers route through the
+  /// driver's shared oracle — identical (source, exclusion)
   /// snapshots are computed once run-wide, not once per worker. All
   /// deterministic aggregates (members, joins, links, costs, oracle
   /// lookups) are byte-identical for any worker count — only the

@@ -1,7 +1,5 @@
 #include "net/paths.hpp"
 
-#include <algorithm>
-#include <set>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -37,90 +35,6 @@ std::vector<LinkId> path_links(const Graph& g,
     out.push_back(*link);
   }
   return out;
-}
-
-Path make_path(const Graph& g, std::vector<NodeId> nodes) {
-  Path p;
-  p.weight = path_weight(g, nodes);
-  p.nodes = std::move(nodes);
-  return p;
-}
-
-Path concatenate(const Graph& g, const Path& first, const Path& second) {
-  if (first.empty()) return second;
-  if (second.empty()) return first;
-  if (first.back() != second.front()) {
-    throw std::invalid_argument("paths do not share a junction node");
-  }
-  std::vector<NodeId> nodes = first.nodes;
-  nodes.insert(nodes.end(), second.nodes.begin() + 1, second.nodes.end());
-  return make_path(g, std::move(nodes));
-}
-
-namespace {
-
-struct PathOrder {
-  bool operator()(const Path& a, const Path& b) const noexcept {
-    if (a.weight != b.weight) return a.weight < b.weight;
-    return a.nodes < b.nodes;
-  }
-};
-
-}  // namespace
-
-std::vector<Path> yen_k_shortest(const Graph& g, NodeId source, NodeId target,
-                                 int k) {
-  std::vector<Path> result;
-  if (k <= 0) return result;
-  // One workspace serves the base run and every spur search below.
-  DijkstraWorkspace workspace;
-  ShortestPathTree base;
-  workspace.run_into(g, source, ExclusionSet{}, base);
-  if (!base.reachable(target)) return result;
-  result.push_back(make_path(g, base.path_from_source(target)));
-  ShortestPathTree spur_tree;
-
-  std::set<Path, PathOrder> candidates;
-  while (static_cast<int>(result.size()) < k) {
-    const Path& previous = result.back();
-    // Each prefix of the previous path spawns a spur.
-    for (std::size_t i = 0; i + 1 < previous.nodes.size(); ++i) {
-      const NodeId spur_node = previous.nodes[i];
-      const std::vector<NodeId> root(previous.nodes.begin(),
-                                     previous.nodes.begin() +
-                                         static_cast<std::ptrdiff_t>(i) + 1);
-
-      ExclusionSet excluded(g);
-      // Ban links that would recreate an already-found path with this root.
-      for (const Path& found : result) {
-        if (found.nodes.size() > i &&
-            std::equal(root.begin(), root.end(), found.nodes.begin())) {
-          if (const auto link =
-                  g.link_between(found.nodes[i], found.nodes[i + 1])) {
-            excluded.ban_link(*link);
-          }
-        }
-      }
-      // Ban root nodes (except the spur) to keep the path loopless.
-      for (std::size_t j = 0; j < i; ++j) excluded.ban_node(root[j]);
-
-      workspace.run_into(g, spur_node, excluded, spur_tree);
-      if (!spur_tree.reachable(target)) continue;
-      Path spur = make_path(g, spur_tree.path_from_source(target));
-      Path total = concatenate(g, make_path(g, root), spur);
-      candidates.insert(std::move(total));
-    }
-    // Drop candidates already emitted.
-    while (!candidates.empty() &&
-           std::find(result.begin(), result.end(), *candidates.begin()) !=
-               result.end()) {
-      candidates.erase(candidates.begin());
-    }
-    if (candidates.empty()) break;
-    result.push_back(*candidates.begin());
-    candidates.erase(candidates.begin());
-  }
-  return result;
 }
 
 }  // namespace smrp::net

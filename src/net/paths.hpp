@@ -1,5 +1,5 @@
-// Path value type and path-level algorithms (validation, weighing, Yen's
-// k-shortest loopless paths). SMRP's join procedure reasons about explicit
+// Path-level helpers over node sequences: validation, weighing, and the
+// links a path traverses. SMRP's join procedure reasons about explicit
 // paths, so these helpers are shared across the protocol and the benches.
 #pragma once
 
@@ -9,24 +9,6 @@
 #include "net/shortest_path.hpp"
 
 namespace smrp::net {
-
-/// A simple (loop-free) path as a node sequence. An empty node list means
-/// "no path"; a single node is the trivial path of weight 0.
-struct Path {
-  std::vector<NodeId> nodes;
-  double weight = 0.0;
-
-  [[nodiscard]] bool empty() const noexcept { return nodes.empty(); }
-  [[nodiscard]] int hop_count() const noexcept {
-    return nodes.empty() ? 0 : static_cast<int>(nodes.size()) - 1;
-  }
-  [[nodiscard]] NodeId front() const { return nodes.front(); }
-  [[nodiscard]] NodeId back() const { return nodes.back(); }
-
-  bool operator==(const Path& other) const noexcept {
-    return nodes == other.nodes;
-  }
-};
 
 /// True iff consecutive nodes are adjacent in `g` and no node repeats.
 [[nodiscard]] bool is_simple_path(const Graph& g,
@@ -40,18 +22,5 @@ struct Path {
 /// The links traversed by the node sequence. Throws on non-adjacent hops.
 [[nodiscard]] std::vector<LinkId> path_links(const Graph& g,
                                              const std::vector<NodeId>& nodes);
-
-/// Build a Path (nodes + weight) from a node sequence.
-[[nodiscard]] Path make_path(const Graph& g, std::vector<NodeId> nodes);
-
-/// Concatenate a→…→m and m→…→b (the junction node appears once).
-/// Precondition: first.back() == second.front().
-[[nodiscard]] Path concatenate(const Graph& g, const Path& first,
-                               const Path& second);
-
-/// Yen's algorithm: up to k shortest loopless paths from `source` to
-/// `target`, sorted by weight (then lexicographically for determinism).
-[[nodiscard]] std::vector<Path> yen_k_shortest(const Graph& g, NodeId source,
-                                               NodeId target, int k);
 
 }  // namespace smrp::net

@@ -9,45 +9,34 @@
 // calls. The oracle centralises those searches behind one cache:
 //
 //  * Plain SPF trees are cached per (source, exclusion signature) as
-//    shared immutable snapshots, invalidated wholesale whenever
-//    Graph::topology_version() moves.
-//  * On the dominant recovery workload — one extra banned link or node
-//    on top of an already-cached exclusion — the cached base tree is
-//    repaired incrementally (Ramalingam–Reps-style: only the parent
-//    subtree hanging off the failed component is recomputed), falling
-//    back to a fresh run when the affected region exceeds a size
-//    threshold. Repaired trees are bit-identical to fresh runs (the
-//    deterministic tie-break makes the (dist, hops, parent) fixpoint
-//    independent of relaxation order; a property test asserts equality).
+//    shared immutable snapshots, at most kMaxEntries of them (LRU), all
+//    dropped whenever Graph::topology_version() moves. Every miss is one
+//    full Dijkstra run.
 //  * Tree-state-dependent searches (absorbing candidate enumeration,
 //    detour searches) are not cacheable; the oracle serves them from a
 //    pool of reusable DijkstraWorkspaces instead.
 //
 // Concurrency (DESIGN.md §16): ONE oracle is meant to be shared by every
-// worker thread that routes over the same topology. The snapshot map is
-// lock-striped — Config::stripes independent mutexes, striped by the
-// splitmix64 cache key of (source, exclusion signature) — so hits are a
-// read-mostly probe of one stripe. Concurrent misses on the same key
-// compute ONCE: the first thread installs an in-flight cell and computes
-// outside any stripe lock; later arrivals wait on that cell and share the
-// winner's snapshot (counted as hits — the computation they were spared).
-// Because a snapshot is a pure deterministic function of its key, sharing
-// the cache across threads cannot change any result byte — only wall
-// time, memory, and the hit/full-run split move with the thread count.
-// All computation scratch (full runs, incremental repairs) is pooled, so
-// concurrent misses on different keys proceed in parallel. Returned trees
-// are shared_ptr<const> snapshots that stay valid across invalidation;
-// retired snapshot buffers are recycled through a pool that outlives the
-// oracle, so churning caches do not churn the allocator.
+// worker thread that routes over the same topology. One mutex guards the
+// snapshot map and the counters; it is held to probe and to publish, never
+// across a Dijkstra run. Concurrent misses on the same key compute ONCE:
+// the first thread installs an in-flight cell and computes outside the
+// lock; later arrivals wait on that cell and share the winner's snapshot
+// (counted as hits — the computation they were spared). Because a
+// snapshot is a pure deterministic function of its key, sharing the cache
+// across threads cannot change any result byte — only wall time, memory,
+// and the hit/full-run split move with the thread count. Misses on
+// different keys run in parallel, each in its own leased workspace.
+// Returned trees are shared_ptr<const> snapshots that stay valid across
+// invalidation and eviction, and after the oracle itself is gone.
 //
-// Cache management is wall-clock free (LRU over a monotone per-stripe
-// tick), so runs remain bit-for-bit reproducible at any thread count.
+// Cache management is wall-clock free (LRU over a monotone lookup tick),
+// so runs remain bit-for-bit reproducible at any thread count.
 // attach_telemetry must be called before the oracle is shared across
 // threads (the usual attach-then-run discipline); the mirrored counter
-// bumps themselves are serialized internally and TSan-clean.
+// bumps happen under the oracle's lock.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -64,38 +53,27 @@ namespace smrp::net {
 
 class RoutingOracle {
  public:
-  struct Config {
-    /// Cached SPF trees kept before LRU eviction. Approximate under
-    /// striping: the budget splits evenly across the stripes, each of
-    /// which evicts independently (with a small per-stripe floor so an
-    /// uneven key hash cannot thrash one stripe while others sit empty).
-    std::size_t max_entries = 256;
-    /// Incremental repair runs only while the invalidated subtree stays
-    /// under this fraction of the node count; larger regions full-rerun
-    /// (the delta bookkeeping would cost more than it saves).
-    double incremental_max_fraction = 0.5;
-    /// Lock stripes over the snapshot map (rounded up to a power of
-    /// two, clamped to [1, 256]). 64 keeps same-stripe collisions rare
-    /// at any realistic worker count while staying cheap to construct.
-    std::size_t stripes = 64;
-  };
+  /// Ready snapshots kept before the least recently used one is evicted.
+  /// In-flight computations are not counted and never evicted.
+  static constexpr std::size_t kMaxEntries = 256;
 
   using TreePtr = std::shared_ptr<const ShortestPathTree>;
 
   /// Counters mirrored to telemetry (smrp.routing.*). Invariants:
-  /// lookups == cache_hits + cache_misses and
-  /// cache_misses == incremental_repairs + full_runs. A lookup that
-  /// waits on another thread's in-flight computation of the same key
-  /// counts as a hit (it was served a shared snapshot, not a Dijkstra
-  /// run), so full_runs never exceeds the number of distinct keys
+  /// lookups == cache_hits + cache_misses and cache_misses == full_runs.
+  /// A lookup that waits on another thread's in-flight computation of the
+  /// same key counts as a hit (it was served a shared snapshot, not a
+  /// Dijkstra run), so full_runs never exceeds the number of distinct keys
   /// computed — the dedup guarantee the scale bench reports.
   struct Stats {
     std::uint64_t lookups = 0;
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
-    std::uint64_t incremental_repairs = 0;  ///< misses served by delta repair
-    std::uint64_t full_runs = 0;            ///< misses served by full Dijkstra
-    std::uint64_t invalidations = 0;        ///< cache flushes on version bumps
+    /// Always 0: no miss is repaired from another cached tree. Kept so
+    /// the reports that print it keep their fields.
+    std::uint64_t incremental_repairs = 0;
+    std::uint64_t full_runs = 0;      ///< misses, one full Dijkstra each
+    std::uint64_t invalidations = 0;  ///< cache flushes on version bumps
 
     /// Fold another oracle's (or run's) counters into this one — the one
     /// summation every stats consumer shares (multi-oracle benches, the
@@ -155,15 +133,14 @@ class RoutingOracle {
   };
 
   explicit RoutingOracle(const Graph& g);
-  RoutingOracle(const Graph& g, Config config);
 
   /// Shortest-path tree from `source` over the whole graph / avoiding the
   /// banned components. Served from cache when (source, exclusion
-  /// signature) was seen under the current topology version; repaired
-  /// incrementally when the exclusion is a cached one plus one extra ban;
-  /// concurrent misses on the same key are memoized (one computation,
-  /// every caller shares the snapshot). Throws like dijkstra() on a bad
-  /// or banned source. Safe to call from any number of threads.
+  /// signature) was seen under the current topology version, otherwise
+  /// computed by one full Dijkstra run; concurrent misses on the same key
+  /// are memoized (one computation, every caller shares the snapshot).
+  /// Throws like dijkstra() on a bad or banned source. Safe to call from
+  /// any number of threads.
   TreePtr spf(NodeId source);
   TreePtr spf(NodeId source, const ExclusionSet& excluded);
 
@@ -172,37 +149,28 @@ class RoutingOracle {
 
   /// Attach (or detach with nullptr) telemetry; the cache counters are
   /// published as smrp.routing.{lookups,cache_hit,cache_miss,
-  /// cache_incremental,cache_fallback,invalidations} and the resident
-  /// snapshot footprint as the smrp.routing.{snapshot_count,
-  /// snapshot_bytes} gauges. Pure observation — results are bit-identical
-  /// attached or detached. Call before sharing the oracle across threads.
+  /// cache_fallback,invalidations} (cache_fallback counts the full runs)
+  /// and the resident snapshot footprint as the smrp.routing.{
+  /// snapshot_count,snapshot_bytes} gauges. Pure observation — results
+  /// are bit-identical attached or detached. Call before sharing the
+  /// oracle across threads.
   void attach_telemetry(obs::Telemetry* telemetry);
 
   [[nodiscard]] Stats stats() const;
 
   /// Ready snapshots currently cached, and their approximate resident
-  /// bytes (per-node storage of every cached tree; shared base trees
-  /// cached under several keys count once per entry).
-  [[nodiscard]] std::uint64_t snapshot_count() const noexcept {
-    return snapshot_count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t snapshot_bytes() const noexcept {
-    return snapshot_bytes_.load(std::memory_order_relaxed);
-  }
+  /// bytes (the per-node storage of every cached tree).
+  [[nodiscard]] std::uint64_t snapshot_count() const;
+  [[nodiscard]] std::uint64_t snapshot_bytes() const;
 
   [[nodiscard]] const Graph& graph() const noexcept { return *g_; }
 
-  /// Drop every cached tree (the version check does this automatically;
-  /// exposed for tests). Lazy: each stripe discards its entries on its
-  /// next probe, so invalidation never stalls concurrent readers.
-  void invalidate();
-
  private:
   /// Rendezvous for concurrent misses on one key: the winner computes
-  /// the snapshot outside all stripe locks and publishes it here; losers
+  /// the snapshot outside the oracle's lock and publishes it here; losers
   /// wait on the cell instead of duplicating the Dijkstra run. The cell
-  /// is self-contained (own mutex), so a stripe flush mid-computation
-  /// strands no waiter — they still receive the winner's tree.
+  /// is self-contained (own mutex), so a flush mid-computation strands no
+  /// waiter — they still receive the winner's tree.
   struct Cell {
     std::mutex mu;
     std::condition_variable cv;
@@ -212,9 +180,8 @@ class RoutingOracle {
 
   struct Entry {
     NodeId source = kNoNode;
-    std::uint64_t signature = 0;
-    /// Banned ids (ascending) — exact verification against hash collisions
-    /// and the base set for one-extra-ban incremental repair.
+    /// Banned ids (ascending) — exact verification against hash
+    /// collisions of the cache key.
     std::vector<NodeId> banned_nodes;
     std::vector<LinkId> banned_links;
     TreePtr tree;  ///< null while the cell's computation is in flight
@@ -222,128 +189,53 @@ class RoutingOracle {
     std::uint64_t last_used = 0;  ///< monotone LRU tick (no wall clock)
   };
 
-  /// One lock stripe of the snapshot map. seen_version / seen_flush lag
-  /// the oracle-wide values until the stripe is next probed; a stale
-  /// stripe drops its entries before serving anything.
-  struct Stripe {
-    std::mutex mu;
-    std::unordered_map<std::uint64_t, Entry> entries;
-    std::uint64_t seen_version = 0;
-    std::uint64_t seen_flush = 0;
-    std::uint64_t lru_tick = 0;
-  };
-
-  /// Scratch for one cache-miss computation (full run or incremental
-  /// repair), leased from a pool so misses on different keys compute
-  /// concurrently without allocating.
-  struct ComputeScratch {
-    DijkstraWorkspace ws;
-    std::vector<NodeId> walk;  ///< parent-chain walk buffer
-    std::vector<NodeId> affected;
-    std::vector<char> affected_flag;
-    std::vector<char> settled;
-    std::vector<std::pair<double, NodeId>> heap;
-  };
-
-  /// Retired-snapshot buffer pool. Shared (not owned) by every snapshot's
-  /// deleter, so snapshots handed to callers stay destructible after the
-  /// oracle itself is gone; the pool caps its free list so a burst of
-  /// evictions cannot pin memory.
-  struct TreeRecycler {
-    std::mutex mu;
-    std::vector<std::unique_ptr<ShortestPathTree>> free_list;
-  };
-
   static std::uint64_t cache_key(NodeId source, std::uint64_t signature) noexcept;
-
-  [[nodiscard]] Stripe& stripe_of(std::uint64_t key) noexcept {
-    return stripes_[static_cast<std::size_t>(key) & stripe_mask_];
-  }
-  /// Must hold stripe.mu. Drop the stripe's entries when the topology
-  /// version or flush generation moved since it was last probed.
-  void refresh_stripe_locked(Stripe& stripe, std::uint64_t version,
-                             std::uint64_t flush);
-  /// Detect a topology-version move oracle-wide (bumps `invalidations`
-  /// exactly once per transition) and return (version, flush) to probe
-  /// stripes with.
-  std::pair<std::uint64_t, std::uint64_t> current_epoch();
   /// Entry's ban set equals the request's exactly.
   static bool entry_matches(const Entry& entry, const ExclusionSet& excluded);
-  /// Entry's ban set equals the request's minus the one extra ban
-  /// (extra_node or extra_link, the other sentinel).
-  static bool entry_is_base(const Entry& entry, const ExclusionSet& excluded,
-                            NodeId extra_node, LinkId extra_link);
-  /// Probe every one-extra-ban base key across the stripes; returns the
-  /// base snapshot (and which ban is the extra one) or null. Takes one
-  /// stripe lock at a time — never nests them.
-  TreePtr find_base(NodeId source, const ExclusionSet& excluded,
-                    std::uint64_t version, std::uint64_t flush,
-                    NodeId& extra_node, LinkId& extra_link);
-  /// Delta-repair `base` for one extra banned component, using leased
-  /// scratch only (no oracle locks). Returns null when the affected
-  /// region exceeds the threshold (caller falls back to a full run);
-  /// returns `base` itself (shared ownership) when the ban does not
-  /// touch the cached tree.
-  TreePtr repair(const TreePtr& base, const ExclusionSet& excluded,
-                 NodeId extra_node, LinkId extra_link, ComputeScratch& scratch);
-  /// Full Dijkstra into a recycled snapshot buffer (no oracle locks).
-  TreePtr full_run(NodeId source, const ExclusionSet& excluded,
-                   ComputeScratch& scratch);
 
-  /// A writable snapshot slot: a recycled buffer when one is pooled, a
-  /// fresh allocation otherwise. The returned shared_ptr's deleter hands
-  /// the buffer back to recycler_ (capacity intact) on release.
-  std::shared_ptr<ShortestPathTree> acquire_tree();
+  /// Full Dijkstra into a fresh snapshot, in a leased workspace (no
+  /// oracle lock held).
+  TreePtr full_run(NodeId source, const ExclusionSet& excluded);
 
-  std::unique_ptr<ComputeScratch> acquire_scratch();
-  void release_scratch(std::unique_ptr<ComputeScratch> scratch) noexcept;
+  /// Must hold mu_. Drop every entry when the topology version moved
+  /// since the last probe (one invalidation per move).
+  void flush_if_stale_locked();
+  /// Must hold mu_. Install the winner's snapshot in its entry, unless a
+  /// flush or a colliding key replaced the entry meanwhile, and evict
+  /// down to kMaxEntries.
+  void publish_locked(std::uint64_t key, const std::shared_ptr<Cell>& cell,
+                      const TreePtr& tree);
+  /// Must hold mu_. Account snapshots entering (+) or leaving (−) the map
+  /// and mirror the gauges.
+  void snapshots_changed_locked(std::int64_t count_delta,
+                                std::int64_t bytes_delta);
+  /// Must hold mu_. Increment a statistic and its telemetry mirror.
+  static void count(std::uint64_t& stat, obs::Counter* counter);
 
   void return_workspace(std::unique_ptr<DijkstraWorkspace> workspace) noexcept;
 
-  /// Approximate resident bytes of one cached snapshot.
-  [[nodiscard]] std::uint64_t tree_bytes(const ShortestPathTree& t)
-      const noexcept;
-  /// Account one published/evicted snapshot and mirror the gauges.
-  void snapshots_changed(std::int64_t count_delta, std::int64_t bytes_delta);
-
-  void bump(std::atomic<std::uint64_t>& stat, obs::Counter* counter);
-
   const Graph* g_;
-  Config config_;
-  std::size_t stripe_mask_ = 0;
-  std::size_t stripe_capacity_ = 0;  ///< max ready entries per stripe
 
-  std::vector<Stripe> stripes_;
-  std::atomic<std::uint64_t> seen_version_{0};  ///< last observed topology
-  std::atomic<std::uint64_t> flush_gen_{0};     ///< manual invalidate() epoch
-
-  std::mutex pool_mu_;
-  std::vector<std::unique_ptr<DijkstraWorkspace>> workspace_pool_;
-  std::vector<std::unique_ptr<ComputeScratch>> scratch_pool_;
-  std::shared_ptr<TreeRecycler> recycler_;
-
-  // Stats: relaxed atomics — hot-path increments never contend a lock.
-  std::atomic<std::uint64_t> n_lookups_{0};
-  std::atomic<std::uint64_t> n_hits_{0};
-  std::atomic<std::uint64_t> n_misses_{0};
-  std::atomic<std::uint64_t> n_incremental_{0};
-  std::atomic<std::uint64_t> n_full_{0};
-  std::atomic<std::uint64_t> n_invalidations_{0};
-  std::atomic<std::uint64_t> snapshot_count_{0};
-  std::atomic<std::uint64_t> snapshot_bytes_{0};
-
+  mutable std::mutex mu_;  ///< guards everything below up to pool_mu_
+  std::unordered_map<std::uint64_t, Entry> entries_;
+  std::uint64_t seen_version_ = 0;  ///< topology version entries_ is for
+  std::uint64_t lru_tick_ = 0;
+  Stats stats_;
+  std::uint64_t snapshot_count_ = 0;
+  std::uint64_t snapshot_bytes_ = 0;
   // Telemetry handles, cached at attach time (registry lookups off the
-  // hot path). obs instruments are not thread-safe, so mirrored bumps
-  // serialize on telemetry_mu_ — only taken when telemetry is attached.
-  std::mutex telemetry_mu_;
+  // hot path); obs instruments are not thread-safe, so they are bumped
+  // under mu_ like the statistics they mirror.
   obs::Counter* c_lookups_ = nullptr;
   obs::Counter* c_hit_ = nullptr;
   obs::Counter* c_miss_ = nullptr;
-  obs::Counter* c_incremental_ = nullptr;
   obs::Counter* c_fallback_ = nullptr;
   obs::Counter* c_invalidations_ = nullptr;
   obs::Gauge* g_snapshot_count_ = nullptr;
   obs::Gauge* g_snapshot_bytes_ = nullptr;
+
+  std::mutex pool_mu_;
+  std::vector<std::unique_ptr<DijkstraWorkspace>> workspace_pool_;
 };
 
 /// Incrementally refreshed nearest-target detour search, the shared

@@ -64,8 +64,8 @@ class ExclusionSet {
   [[nodiscard]] std::vector<NodeId> banned_nodes() const;
   [[nodiscard]] std::vector<LinkId> banned_links() const;
 
-  /// The per-id hashes the signature is built from, exposed so a cache
-  /// can derive "this set minus one ban" signatures without copying.
+ private:
+  /// The per-id hashes the signature is built from.
   [[nodiscard]] static std::uint64_t mix_node(NodeId n) noexcept {
     return mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(n)));
   }
@@ -74,7 +74,6 @@ class ExclusionSet {
                (std::uint64_t{1} << 32));  // tag: link ids hash apart from nodes
   }
 
- private:
   /// splitmix64 finalizer — avalanches dense small ids into independent bits.
   [[nodiscard]] static std::uint64_t mix(std::uint64_t x) noexcept {
     x += 0x9e3779b97f4a7c15ULL;

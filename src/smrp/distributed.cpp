@@ -583,8 +583,7 @@ bool DistributedSession::attempt_reshape(net::NodeId n) {
   AgentState& s = agent(n);
   const auto snapshot = snapshot_tree();
   if (!snapshot || !snapshot->is_member(n)) return false;
-  const net::NodeId up = snapshot->parent(n);
-  if (up == net::kNoNode) return false;
+  if (snapshot->parent(n) == net::kNoNode) return false;
 
   // Reshaping decisions respect the live topology: failed links/nodes
   // (known network-wide once the IGP has flooded them) are unusable.
@@ -595,26 +594,11 @@ bool DistributedSession::attempt_reshape(net::NodeId n) {
   const double spf_delay = spf->dist[static_cast<std::size_t>(n)];
   if (spf_delay == net::kInfinity) return false;
 
-  const std::vector<JoinCandidate> candidates =
+  const std::optional<JoinCandidate> best = select_reshape(
+      *snapshot, n,
       enumerate_candidates(network_->graph(), *snapshot, n, spf_delay,
-                           config_.smrp, n, &down, oracle_.get());
-  const int current_shr = snapshot->shr_excluding_subtree(up, n);
-  const double current_delay = snapshot->delay_to_source(n);
-
-  const JoinCandidate* best = nullptr;
-  for (const JoinCandidate& c : candidates) {
-    if (!c.within_bound) continue;
-    if (best == nullptr || c.shr < best->shr ||
-        (c.shr == best->shr && c.total_delay < best->total_delay)) {
-      best = &c;
-    }
-  }
-  if (best == nullptr) return false;
-  const bool better =
-      best->shr < current_shr ||
-      (best->shr == current_shr && best->total_delay + 1e-9 < current_delay);
-  if (!better) return false;
-  if (best->merge_node == up && best->graft.size() == 2) return false;
+                           config_.smrp, n, &down, oracle_.get()));
+  if (!best) return false;
   // Guard against stale relays: the snapshot may omit soft-state remnants
   // that are still on-tree in reality; routing the new branch through one
   // could close a cycle. Decline and let soft state clean up first.

@@ -207,17 +207,33 @@ std::vector<JoinCandidate> enumerate_candidates(
   return out;
 }
 
+namespace {
+
+/// The best within-bound candidate in the Path Selection Criterion's
+/// order — lower SHR, then shorter delay, then lower merge id — or null.
+const JoinCandidate* best_within_bound(
+    const std::vector<JoinCandidate>& candidates) {
+  const JoinCandidate* best = nullptr;
+  for (const JoinCandidate& c : candidates) {
+    if (!c.within_bound) continue;
+    if (best == nullptr || c.shr < best->shr ||
+        (c.shr == best->shr &&
+         (c.total_delay < best->total_delay ||
+          (c.total_delay == best->total_delay &&
+           c.merge_node < best->merge_node)))) {
+      best = &c;
+    }
+  }
+  return best;
+}
+
+}  // namespace
+
 std::optional<Selection> select_path(std::vector<JoinCandidate> candidates,
                                      double spf_delay,
                                      const SmrpConfig& config) {
   if (candidates.empty()) return std::nullopt;
 
-  const auto better_within = [](const JoinCandidate& a,
-                                const JoinCandidate& b) {
-    if (a.shr != b.shr) return a.shr < b.shr;
-    if (a.total_delay != b.total_delay) return a.total_delay < b.total_delay;
-    return a.merge_node < b.merge_node;
-  };
   const auto better_fallback = [](const JoinCandidate& a,
                                   const JoinCandidate& b) {
     if (a.total_delay != b.total_delay) return a.total_delay < b.total_delay;
@@ -228,11 +244,7 @@ std::optional<Selection> select_path(std::vector<JoinCandidate> candidates,
   sel.candidate_count = static_cast<int>(candidates.size());
   sel.spf_delay = spf_delay;
 
-  const JoinCandidate* best = nullptr;
-  for (const JoinCandidate& c : candidates) {
-    if (!c.within_bound) continue;
-    if (best == nullptr || better_within(c, *best)) best = &c;
-  }
+  const JoinCandidate* best = best_within_bound(candidates);
   if (best == nullptr) {
     if (!config.fallback_when_infeasible) return std::nullopt;
     for (const JoinCandidate& c : candidates) {
@@ -242,6 +254,44 @@ std::optional<Selection> select_path(std::vector<JoinCandidate> candidates,
   }
   sel.chosen = *best;
   return sel;
+}
+
+bool graft_rewalks_attachment(const MulticastTree& tree, NodeId member,
+                              const std::vector<NodeId>& graft) {
+  if (graft.empty() || graft.front() != member) return false;
+  NodeId cur = member;
+  for (std::size_t i = 1; i < graft.size(); ++i) {
+    if (!tree.on_tree(cur) || tree.parent(cur) != graft[i]) return false;
+    cur = graft[i];
+  }
+  return graft.size() > 1;
+}
+
+std::optional<JoinCandidate> select_reshape(
+    const MulticastTree& tree, NodeId member,
+    const std::vector<JoinCandidate>& candidates) {
+  const NodeId up = tree.parent(member);
+  if (up == net::kNoNode) return std::nullopt;
+  // The comparison baseline: the member's current merge point is its
+  // upstream node; adjust its SHR exactly as candidate SHRs are adjusted
+  // (§3.2.3: "the value of SHR may be inaccurate and should be adjusted
+  // before the path comparison is made").
+  const int current_shr = tree.shr_excluding_subtree(up, member);
+  const double current_delay = tree.delay_to_source(member);
+
+  const JoinCandidate* best = best_within_bound(candidates);
+  if (best == nullptr) return std::nullopt;
+  const bool better =
+      best->shr < current_shr ||
+      (best->shr == current_shr && best->total_delay + 1e-9 < current_delay);
+  // A candidate that merely re-walks the current attachment — whether the
+  // single upstream edge or a multi-hop graft retracing the member's
+  // existing relay chain — is a no-op; moving along it would churn
+  // move_subtree without changing the tree.
+  if (!better || graft_rewalks_attachment(tree, member, best->graft)) {
+    return std::nullopt;
+  }
+  return *best;
 }
 
 std::optional<Selection> select_join_path(

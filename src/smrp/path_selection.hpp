@@ -81,6 +81,26 @@ struct Selection {
     std::vector<JoinCandidate> candidates, double spf_delay,
     const SmrpConfig& config);
 
+/// True iff `graft` (member → … → merge) only re-walks `member`'s current
+/// upstream tree edges, i.e. applying it as a subtree move would rebuild
+/// the attachment unchanged. Reshaping uses this to recognise a no-op
+/// candidate — single- or multi-hop — instead of churning move_subtree.
+[[nodiscard]] bool graft_rewalks_attachment(const MulticastTree& tree,
+                                            NodeId member,
+                                            const std::vector<NodeId>& graft);
+
+/// The §3.2.3 reshape decision, shared by SmrpTreeBuilder and the
+/// distributed protocol: given the candidates for moving `member`'s
+/// subtree (enumerate_candidates with `reshaping_member` set), return the
+/// one to move along, or nullopt to stay. That is the best within-bound
+/// candidate in select_path's (SHR, delay, merge id) order, taken only if
+/// it beats the member's current attachment — SHR adjusted at its parent
+/// the way candidate SHRs are, delay with a 1e-9 slack — and does not
+/// merely re-walk it. nullopt too when `member` has no parent.
+[[nodiscard]] std::optional<JoinCandidate> select_reshape(
+    const MulticastTree& tree, NodeId member,
+    const std::vector<JoinCandidate>& candidates);
+
 /// Convenience: enumerate + select for a fresh join of `joiner`. The
 /// enumeration is bounded by `source_spf` (see enumerate_candidates); when
 /// that is null but an `oracle` is given, the source's SPF is fetched from

@@ -81,6 +81,60 @@ RecoveryOutcome init_outcome(const MulticastTree& tree, NodeId member,
   return out;
 }
 
+/// Adopt a detour search's answer: the searching member reattaches at
+/// the nearest surviving node, along the detour. Requires
+/// detour.found().
+void adopt_detour(const MulticastTree& tree, const net::DetourSearch& detour,
+                  RecoveryOutcome& out) {
+  const NodeId best = detour.best_target();
+  out.recovered = true;
+  out.reattach_node = best;
+  out.restoration_path = detour.path();  // member → … → best
+  out.restoration_links = detour.links();
+  out.recovery_distance = detour.distance();
+  out.recovery_hops = detour.hops();
+  out.new_delay = out.recovery_distance + tree.delay_to_source(best);
+}
+
+/// Walk the member-rooted post-failure SPF `spf` toward the source and
+/// graft at the first node `on_tree` flags, the way a PIM-style join
+/// travels the reconverged unicast route; `out` is unrecovered, with no
+/// path, when the source is unreachable.
+void walk_to_tree(const Graph& g, const MulticastTree& tree,
+                  const net::ShortestPathTree& spf,
+                  const std::vector<char>& on_tree, RecoveryOutcome& out) {
+  out.recovered = false;
+  out.restoration_path.clear();
+  out.restoration_links.clear();
+  if (!spf.reachable(tree.source())) return;
+  // The search is rooted at the member, so each hop's link is the SPF
+  // parent link of the hop's far end.
+  const std::vector<NodeId> path = spf.path_from_source(tree.source());
+  double distance = 0.0;
+  int hops = 0;
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    const NodeId next = path[i + 1];
+    const LinkId link = spf.parent_link[static_cast<std::size_t>(next)];
+    distance += g.link(link).weight;
+    ++hops;
+    out.restoration_path.push_back(path[i]);
+    out.restoration_links.push_back(link);
+    if (on_tree[static_cast<std::size_t>(next)] != 0) {
+      out.restoration_path.push_back(next);
+      out.recovered = true;
+      out.reattach_node = next;
+      out.recovery_distance = distance;
+      out.recovery_hops = hops;
+      out.new_delay = distance + tree.delay_to_source(next);
+      return;
+    }
+  }
+  // The walk always ends at the source, which is on the tree by
+  // definition, so reaching here means the path list was empty.
+  out.restoration_path.clear();
+  out.restoration_links.clear();
+}
+
 }  // namespace
 
 RecoveryOutcome local_detour_recovery(const Graph& g,
@@ -106,16 +160,7 @@ RecoveryOutcome local_detour_recovery(const Graph& g,
   }
   net::DetourSearch detour;
   detour.compute(g, *lease, member, survivors, excluded, marks);
-  if (!detour.found()) return out;  // recovered stays false
-
-  const NodeId best = detour.best_target();
-  out.recovered = true;
-  out.reattach_node = best;
-  out.restoration_path = detour.path();  // member → … → best
-  out.restoration_links = detour.links();
-  out.recovery_distance = detour.distance();
-  out.recovery_hops = detour.hops();
-  out.new_delay = out.recovery_distance + tree.delay_to_source(best);
+  if (detour.found()) adopt_detour(tree, detour, out);
   return out;
 }
 
@@ -140,36 +185,7 @@ RecoveryOutcome global_detour_recovery(const Graph& g,
   // toward the source; a PIM-style join travels along it and grafts at the
   // first router that is already on the surviving tree. Cacheable — the
   // search depends on the topology and failure only, not the tree.
-  const net::RoutingOracle::TreePtr spf_tree = oracle->spf(member, excluded);
-  const net::ShortestPathTree& spf = *spf_tree;
-  if (!spf.reachable(tree.source())) return out;
-
-  // The search is rooted at the member, so each hop's link is the SPF
-  // parent link of the hop's far end.
-  const std::vector<NodeId> path = spf.path_from_source(tree.source());
-  double distance = 0.0;
-  int hops = 0;
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const NodeId next = path[i + 1];
-    const LinkId link = spf.parent_link[static_cast<std::size_t>(next)];
-    distance += g.link(link).weight;
-    ++hops;
-    out.restoration_path.push_back(path[i]);
-    out.restoration_links.push_back(link);
-    if (survivors[static_cast<std::size_t>(next)] != 0) {
-      out.restoration_path.push_back(next);
-      out.recovered = true;
-      out.reattach_node = next;
-      out.recovery_distance = distance;
-      out.recovery_hops = hops;
-      out.new_delay = distance + tree.delay_to_source(next);
-      return out;
-    }
-  }
-  // The walk always terminates at the source, which survives by definition,
-  // so reaching here means the path list was empty.
-  out.restoration_path.clear();
-  out.restoration_links.clear();
+  walk_to_tree(g, tree, *oracle->spf(member, excluded), survivors, out);
   return out;
 }
 
@@ -188,8 +204,7 @@ SessionRepairReport repair_session(const Graph& g, MulticastTree& tree,
                                    net::RoutingOracle* oracle) {
   // Per-member searches below go through the oracle; callers repairing
   // many failures in sequence pass theirs in so the workspace pool and
-  // the SPF cache survive across repairs (each new failure is then one
-  // extra ban over a cached exclusion — the incremental-repair case).
+  // the SPF cache survive across repairs.
   std::unique_ptr<net::RoutingOracle> owned;
   oracle = ensure_oracle(g, oracle, owned);
   SessionRepairReport report;
@@ -244,48 +259,6 @@ SessionRepairReport repair_session(const Graph& g, MulticastTree& tree,
   };
   std::vector<Candidate> cache(lost.size());
 
-  const auto adopt_local = [&](Candidate& c) {
-    const NodeId reattach = c.detour.best_target();
-    c.outcome.recovered = true;
-    c.outcome.reattach_node = reattach;
-    c.outcome.restoration_path = c.detour.path();
-    c.outcome.restoration_links = c.detour.links();
-    c.outcome.recovery_distance = c.detour.distance();
-    c.outcome.recovery_hops = c.detour.hops();
-    c.outcome.new_delay =
-        c.outcome.recovery_distance + tree.delay_to_source(reattach);
-  };
-
-  const auto walk_global = [&](Candidate& c) {
-    c.outcome.recovered = false;
-    c.outcome.restoration_path.clear();
-    c.outcome.restoration_links.clear();
-    if (!c.spf->reachable(tree.source())) return;
-    // Rooted at the member, like global_detour_recovery's search.
-    const std::vector<NodeId> path = c.spf->path_from_source(tree.source());
-    double distance = 0.0;
-    int hops = 0;
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      const LinkId link =
-          c.spf->parent_link[static_cast<std::size_t>(path[i + 1])];
-      distance += g.link(link).weight;
-      ++hops;
-      c.outcome.restoration_path.push_back(path[i]);
-      c.outcome.restoration_links.push_back(link);
-      if (on_tree[static_cast<std::size_t>(path[i + 1])] != 0) {
-        c.outcome.restoration_path.push_back(path[i + 1]);
-        c.outcome.recovered = true;
-        c.outcome.reattach_node = path[i + 1];
-        c.outcome.recovery_distance = distance;
-        c.outcome.recovery_hops = hops;
-        c.outcome.new_delay = distance + tree.delay_to_source(path[i + 1]);
-        return;
-      }
-    }
-    c.outcome.restoration_path.clear();
-    c.outcome.restoration_links.clear();
-  };
-
   const auto compute = [&](Candidate& c, NodeId member) {
     c.computed = true;
     c.outcome = RecoveryOutcome{};
@@ -295,23 +268,23 @@ SessionRepairReport repair_session(const Graph& g, MulticastTree& tree,
     c.outcome.disconnected = true;
     if (policy == DetourPolicy::kLocal) {
       c.detour.compute(g, **lease, member, on_tree, excluded, *marks);
-      if (c.detour.found()) adopt_local(c);
+      if (c.detour.found()) adopt_detour(tree, c.detour, c.outcome);
     } else {
       c.spf = oracle->spf(member, excluded);
-      walk_global(c);
+      walk_to_tree(g, tree, *c.spf, on_tree, c.outcome);
     }
   };
 
   const auto refresh = [&](Candidate& c, const std::vector<NodeId>& delta) {
     if (policy == DetourPolicy::kGlobal) {
-      walk_global(c);
+      walk_to_tree(g, tree, *c.spf, on_tree, c.outcome);
       return;
     }
     c.detour.add_targets(delta);
     if (c.detour.found() &&
         (!c.outcome.recovered ||
          c.detour.best_target() != c.outcome.reattach_node)) {
-      adopt_local(c);
+      adopt_detour(tree, c.detour, c.outcome);
     }
   };
 

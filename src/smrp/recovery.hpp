@@ -83,7 +83,7 @@ struct RecoveryOutcome {
 /// SPF/PIM recovery: follow the post-failure shortest path toward the
 /// source, grafting at the first surviving on-tree node along it. The
 /// member's post-failure SPF is cacheable, so `oracle` serves it from the
-/// shared cache (incrementally repaired on the failure's one extra ban).
+/// shared cache.
 [[nodiscard]] RecoveryOutcome global_detour_recovery(
     const Graph& g, const MulticastTree& tree, NodeId member,
     const Failure& failure, net::RoutingOracle* oracle = nullptr);
@@ -123,9 +123,8 @@ struct SessionRepairReport {
 /// actually computed (RD_R as §4.3.1 defines it — new links only; members
 /// that rejoin in place contribute no sample) plus disconnection counters.
 /// `oracle`, when given, serves every search in the repair: the kGlobal
-/// per-member SPFs hit the shared cache (incrementally repaired when this
-/// failure is one extra ban over a cached exclusion) and the kLocal
-/// detour searches lease pooled workspaces.
+/// per-member SPFs go through the shared cache and the kLocal detour
+/// searches lease pooled workspaces.
 SessionRepairReport repair_session(
     const Graph& g, MulticastTree& tree, const Failure& failure,
     DetourPolicy policy = DetourPolicy::kLocal,

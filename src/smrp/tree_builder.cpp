@@ -6,17 +6,6 @@
 
 namespace smrp::proto {
 
-bool graft_rewalks_attachment(const MulticastTree& tree, NodeId member,
-                              const std::vector<NodeId>& graft) {
-  if (graft.empty() || graft.front() != member) return false;
-  NodeId cur = member;
-  for (std::size_t i = 1; i < graft.size(); ++i) {
-    if (!tree.on_tree(cur) || tree.parent(cur) != graft[i]) return false;
-    cur = graft[i];
-  }
-  return graft.size() > 1;
-}
-
 SmrpTreeBuilder::SmrpTreeBuilder(const Graph& g, NodeId source,
                                  SmrpConfig config, net::RoutingOracle* oracle)
     : g_(&g),
@@ -155,8 +144,7 @@ void SmrpTreeBuilder::leave(NodeId member) {
 }
 
 bool SmrpTreeBuilder::try_reshape(NodeId member, Baseline& state) {
-  const NodeId up = tree_.parent(member);
-  if (up == net::kNoNode) return false;
+  if (tree_.parent(member) == net::kNoNode) return false;
   ++reshape_attempts_;
 
   // A confined member's decision depends on its region's tree alone
@@ -171,36 +159,11 @@ bool SmrpTreeBuilder::try_reshape(NodeId member, Baseline& state) {
   }
   ++reshape_searches_;
 
-  const double spf = spf_delay(member);
-  std::vector<JoinCandidate> candidates = enumerate_candidates(
-      *g_, tree_, member, spf, config_, member, nullptr, oracle_, bound);
-
-  // The comparison baseline: the member's current merge point is its
-  // upstream node; adjust its SHR exactly as candidate SHRs are adjusted
-  // (§3.2.3: "the value of SHR may be inaccurate and should be adjusted
-  // before the path comparison is made").
-  const int current_shr = tree_.shr_excluding_subtree(up, member);
-  const double current_delay = tree_.delay_to_source(member);
-
-  const JoinCandidate* best = nullptr;
-  for (const JoinCandidate& c : candidates) {
-    if (!c.within_bound) continue;
-    if (best == nullptr || c.shr < best->shr ||
-        (c.shr == best->shr && c.total_delay < best->total_delay)) {
-      best = &c;
-    }
-  }
-  // A candidate that merely re-walks the current attachment — whether the
-  // single upstream edge or a multi-hop graft retracing the member's
-  // existing relay chain — is a no-op; moving along it would churn
-  // move_subtree without changing the tree.
-  const bool better =
-      best != nullptr &&
-      (best->shr < current_shr ||
-       (best->shr == current_shr &&
-        best->total_delay + 1e-9 < current_delay)) &&
-      !graft_rewalks_attachment(tree_, member, best->graft);
-  if (!better) {
+  const std::optional<JoinCandidate> best = select_reshape(
+      tree_, member,
+      enumerate_candidates(*g_, tree_, member, spf_delay(member), config_,
+                           member, nullptr, oracle_, bound));
+  if (!best) {
     if (tracked) state.decided = region_stamp(state.region);
     return false;
   }
@@ -250,16 +213,6 @@ int SmrpTreeBuilder::reshape_pass() {
     if (try_reshape(member, state)) ++switches;
   }
   return switches;
-}
-
-int SmrpTreeBuilder::reshape_to_fixpoint(int max_passes) {
-  int total = 0;
-  for (int pass = 0; pass < max_passes; ++pass) {
-    const int switches = reshape_pass();
-    total += switches;
-    if (switches == 0) break;
-  }
-  return total;
 }
 
 }  // namespace smrp::proto

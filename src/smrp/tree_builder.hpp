@@ -30,14 +30,6 @@ struct JoinOutcome {
   int reshapes_triggered = 0;   ///< Condition-I switches caused by this join
 };
 
-/// True iff `graft` (member → … → merge) only re-walks `member`'s current
-/// upstream tree edges, i.e. applying it as a subtree move would rebuild
-/// the attachment unchanged. Reshaping uses this to recognise a no-op
-/// candidate — single- or multi-hop — instead of churning move_subtree.
-[[nodiscard]] bool graft_rewalks_attachment(const MulticastTree& tree,
-                                            NodeId member,
-                                            const std::vector<NodeId>& graft);
-
 class SmrpTreeBuilder {
  public:
   /// `oracle`, when given, serves every SPF this builder (and downstream
@@ -66,10 +58,6 @@ class SmrpTreeBuilder {
   /// order, emulating independent periodic timers). Returns the number of
   /// members that switched paths.
   int reshape_pass();
-
-  /// Run reshape passes until quiescent (or `max_passes`). Returns total
-  /// number of switches.
-  int reshape_to_fixpoint(int max_passes = 10);
 
   [[nodiscard]] const MulticastTree& tree() const noexcept { return tree_; }
   [[nodiscard]] const Graph& graph() const noexcept { return *g_; }

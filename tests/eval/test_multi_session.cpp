@@ -129,7 +129,7 @@ TEST(MultiSessionDriver, RunSeededIsWorkerInvariant) {
   // The DESIGN.md §14/§16 contract bench_scale's det_* gate rides on:
   // every deterministic aggregate is byte-identical for any worker count,
   // because session i's whole random stream is trial_seed(seed, i) and
-  // the ONE shared lock-striped oracle answers every lookup with a pure
+  // the ONE shared oracle answers every lookup with a pure
   // function of its key. Total lookups are deterministic too; only the
   // hit/miss split may move with worker scheduling (a key one worker
   // computes first is a hit for everyone else).
@@ -164,9 +164,7 @@ TEST(MultiSessionDriver, RunSeededIsWorkerInvariant) {
       // other way around).
       EXPECT_EQ(r.oracle.lookups, r.oracle.cache_hits + r.oracle.cache_misses)
           << workers;
-      EXPECT_EQ(r.oracle.cache_misses,
-                r.oracle.incremental_repairs + r.oracle.full_runs)
-          << workers;
+      EXPECT_EQ(r.oracle.cache_misses, r.oracle.full_runs) << workers;
       EXPECT_LE(r.oracle.cache_misses, base.oracle.cache_misses) << workers;
       for (int i = 0; i < driver.session_count(); ++i) {
         ASSERT_NO_THROW(driver.session_tree(i).validate()) << "session " << i;

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
-
-#include "net/waxman.hpp"
 #include "testing_topologies.hpp"
 
 namespace smrp::net {
@@ -37,81 +34,6 @@ TEST(PathUtils, SimplePathValidation) {
   EXPECT_FALSE(is_simple_path(fig.graph, {fig.S, fig.D}));  // not adjacent
   EXPECT_TRUE(is_simple_path(fig.graph, {}));
 }
-
-TEST(PathUtils, ConcatenateJoinsAtJunction) {
-  const testing::Fig1Topology fig;
-  const Path left = make_path(fig.graph, {fig.D, fig.C, fig.A});
-  const Path right = make_path(fig.graph, {fig.A, fig.S});
-  const Path joined = concatenate(fig.graph, left, right);
-  EXPECT_EQ(joined.nodes, (std::vector<NodeId>{fig.D, fig.C, fig.A, fig.S}));
-  EXPECT_DOUBLE_EQ(joined.weight, 4.0);
-}
-
-TEST(PathUtils, ConcatenateRejectsMismatchedJunction) {
-  const testing::Fig1Topology fig;
-  const Path left = make_path(fig.graph, {fig.D, fig.C});
-  const Path right = make_path(fig.graph, {fig.A, fig.S});
-  EXPECT_THROW(concatenate(fig.graph, left, right), std::invalid_argument);
-}
-
-TEST(Yen, FirstPathIsShortest) {
-  const testing::Fig1Topology fig;
-  const auto paths = yen_k_shortest(fig.graph, fig.S, fig.D, 3);
-  ASSERT_GE(paths.size(), 1u);
-  EXPECT_EQ(paths[0].nodes, (std::vector<NodeId>{fig.S, fig.A, fig.D}));
-  EXPECT_DOUBLE_EQ(paths[0].weight, 2.0);
-}
-
-TEST(Yen, EnumeratesAlternativesInOrder) {
-  const testing::Fig1Topology fig;
-  const auto paths = yen_k_shortest(fig.graph, fig.S, fig.D, 4);
-  ASSERT_EQ(paths.size(), 3u);  // S-A-D, S-B-D, S-A-C-D
-  EXPECT_DOUBLE_EQ(paths[0].weight, 2.0);
-  EXPECT_DOUBLE_EQ(paths[1].weight, 3.0);
-  EXPECT_DOUBLE_EQ(paths[2].weight, 4.0);
-  for (std::size_t i = 1; i < paths.size(); ++i) {
-    EXPECT_LE(paths[i - 1].weight, paths[i].weight);
-  }
-}
-
-TEST(Yen, HandlesUnreachableTarget) {
-  Graph g(3);
-  g.add_link(0, 1, 1.0);
-  EXPECT_TRUE(yen_k_shortest(g, 0, 2, 5).empty());
-}
-
-TEST(Yen, ZeroOrNegativeKYieldsNothing) {
-  const testing::Fig1Topology fig;
-  EXPECT_TRUE(yen_k_shortest(fig.graph, fig.S, fig.D, 0).empty());
-  EXPECT_TRUE(yen_k_shortest(fig.graph, fig.S, fig.D, -2).empty());
-}
-
-class YenProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(YenProperty, PathsAreSimpleDistinctAndSorted) {
-  Rng rng(GetParam());
-  WaxmanParams params;
-  params.node_count = 30;
-  const Graph g = waxman_graph(params, rng);
-  const NodeId src = 0;
-  const NodeId dst = g.node_count() - 1;
-  const auto paths = yen_k_shortest(g, src, dst, 8);
-  ASSERT_FALSE(paths.empty());
-  std::set<std::vector<NodeId>> seen;
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    ASSERT_TRUE(is_simple_path(g, paths[i].nodes));
-    ASSERT_EQ(paths[i].front(), src);
-    ASSERT_EQ(paths[i].back(), dst);
-    ASSERT_TRUE(seen.insert(paths[i].nodes).second) << "duplicate path";
-    if (i > 0) {
-      ASSERT_LE(paths[i - 1].weight, paths[i].weight + 1e-9);
-    }
-    ASSERT_NEAR(paths[i].weight, path_weight(g, paths[i].nodes), 1e-9);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, YenProperty,
-                         ::testing::Values(4, 9, 16, 25, 36));
 
 }  // namespace
 }  // namespace smrp::net

@@ -1,6 +1,6 @@
 // RoutingOracle: caching/versioning semantics, counter invariants, and the
-// load-bearing property that every cached or incrementally repaired tree is
-// bit-identical to a fresh Dijkstra run.
+// load-bearing property that every cached tree is bit-identical to a fresh
+// Dijkstra run.
 #include "net/routing_oracle.hpp"
 
 #include <gtest/gtest.h>
@@ -31,7 +31,8 @@ void expect_identical(const ShortestPathTree& a, const ShortestPathTree& b) {
 
 void expect_counter_invariants(const RoutingOracle::Stats& s) {
   EXPECT_EQ(s.lookups, s.cache_hits + s.cache_misses);
-  EXPECT_EQ(s.cache_misses, s.incremental_repairs + s.full_runs);
+  EXPECT_EQ(s.cache_misses, s.full_runs);  // every miss is one full run
+  EXPECT_EQ(s.incremental_repairs, 0u);
 }
 
 TEST(RoutingOracle, PlainSpfMatchesFreeDijkstra) {
@@ -77,77 +78,6 @@ TEST(RoutingOracle, ExclusionLookupsKeyOnTheBanSet) {
   EXPECT_EQ(oracle.stats().cache_hits, before.cache_hits + 1);
 }
 
-TEST(RoutingOracle, OneExtraBanRepairsIncrementally) {
-  Fig1Topology fig;
-  RoutingOracle oracle(fig.graph);
-  (void)oracle.spf(Fig1Topology::S);  // prime the base tree
-
-  ExclusionSet failed(fig.graph);
-  failed.ban_link(fig.AD);  // on the SPF tree: D hangs off A
-  const RoutingOracle::TreePtr repaired = oracle.spf(Fig1Topology::S, failed);
-  expect_identical(*repaired, dijkstra(fig.graph, Fig1Topology::S, failed));
-
-  const auto s = oracle.stats();
-  EXPECT_EQ(s.incremental_repairs, 1u);
-  EXPECT_EQ(s.full_runs, 1u);
-  expect_counter_invariants(s);
-}
-
-TEST(RoutingOracle, NodeBanRepairsIncrementally) {
-  Fig1Topology fig;
-  // Banning A affects 3 of 5 nodes; raise the delta threshold so the
-  // repair path (not the size fallback) is what gets exercised.
-  RoutingOracle::Config config;
-  config.incremental_max_fraction = 1.0;
-  RoutingOracle oracle(fig.graph, config);
-  (void)oracle.spf(Fig1Topology::S);
-
-  ExclusionSet failed(fig.graph);
-  failed.ban_node(Fig1Topology::A);  // cuts both C and D off the base tree
-  const RoutingOracle::TreePtr repaired = oracle.spf(Fig1Topology::S, failed);
-  expect_identical(*repaired, dijkstra(fig.graph, Fig1Topology::S, failed));
-  EXPECT_EQ(oracle.stats().incremental_repairs, 1u);
-}
-
-TEST(RoutingOracle, OffTreeBanReusesTheBaseSnapshot) {
-  Fig1Topology fig;
-  RoutingOracle oracle(fig.graph);
-  const RoutingOracle::TreePtr base = oracle.spf(Fig1Topology::S);
-
-  ExclusionSet failed(fig.graph);
-  failed.ban_link(fig.CD);  // CD carries no SPF traffic from S
-  const RoutingOracle::TreePtr repaired = oracle.spf(Fig1Topology::S, failed);
-  EXPECT_EQ(base.get(), repaired.get());  // the ban cannot change the tree
-  EXPECT_EQ(oracle.stats().incremental_repairs, 1u);
-}
-
-TEST(RoutingOracle, ChainOfFailuresStaysIncremental) {
-  // The failure_sequence workload: each step bans one more link on top of
-  // the previous step's exclusion set. Every step after the first should
-  // find its predecessor as a base.
-  net::Rng rng(7);
-  WaxmanParams wax;
-  wax.node_count = 60;
-  const Graph g = waxman_graph(wax, rng);
-  RoutingOracle oracle(g);
-  (void)oracle.spf(0);
-
-  ExclusionSet dead(g);
-  std::uint64_t expected_incremental = 0;
-  for (LinkId victim = 0; victim < 10; ++victim) {
-    dead.ban_link(victim);
-    const RoutingOracle::TreePtr t = oracle.spf(0, dead);
-    expect_identical(*t, dijkstra(g, 0, dead));
-    ++expected_incremental;
-  }
-  const auto s = oracle.stats();
-  // All ten steps had their predecessor cached; a step only fails to be
-  // incremental if its delta region crossed the size threshold.
-  EXPECT_GE(s.incremental_repairs + s.full_runs, expected_incremental);
-  EXPECT_GE(s.incremental_repairs, 1u);
-  expect_counter_invariants(s);
-}
-
 TEST(RoutingOracle, TopologyChangeInvalidatesTheCache) {
   Fig1Topology fig;
   RoutingOracle oracle(fig.graph);
@@ -167,33 +97,31 @@ TEST(RoutingOracle, TopologyChangeInvalidatesTheCache) {
   EXPECT_EQ(s.cache_misses, 2u);
 }
 
-TEST(RoutingOracle, ManualInvalidateFlushes) {
-  Fig1Topology fig;
-  RoutingOracle oracle(fig.graph);
-  (void)oracle.spf(Fig1Topology::S);
-  oracle.invalidate();
-  (void)oracle.spf(Fig1Topology::S);
-  const auto s = oracle.stats();
-  EXPECT_EQ(s.invalidations, 1u);
-  EXPECT_EQ(s.cache_hits, 0u);
-  EXPECT_EQ(s.cache_misses, 2u);
-}
-
 TEST(RoutingOracle, EvictionKeepsResultsCorrect) {
   net::Rng rng(11);
   WaxmanParams wax;
   wax.node_count = 40;
   const Graph g = waxman_graph(wax, rng);
-  RoutingOracle::Config config;
-  config.max_entries = 2;
-  RoutingOracle oracle(g, config);
-  // Cycle through more sources than the cache holds, twice.
+  RoutingOracle oracle(g);
+  // Cycle through more distinct (source, one-link ban) keys than the
+  // cache holds, twice. The cap is exact, and under LRU a cyclic sweep
+  // larger than the cache never hits: every key was evicted before its
+  // turn came round again.
+  constexpr int kKeys = 300;
+  static_assert(kKeys > static_cast<int>(RoutingOracle::kMaxEntries));
   for (int round = 0; round < 2; ++round) {
-    for (NodeId s = 0; s < 6; ++s) {
-      expect_identical(*oracle.spf(s), dijkstra(g, s));
+    for (int k = 0; k < kKeys; ++k) {
+      const NodeId source = k % g.node_count();
+      ExclusionSet banned(g);
+      banned.ban_link(static_cast<LinkId>(k / g.node_count()));
+      expect_identical(*oracle.spf(source, banned),
+                       dijkstra(g, source, banned));
     }
+    EXPECT_EQ(oracle.snapshot_count(), RoutingOracle::kMaxEntries);
   }
-  expect_counter_invariants(oracle.stats());
+  const auto s = oracle.stats();
+  EXPECT_EQ(s.cache_misses, 2u * kKeys);
+  expect_counter_invariants(s);
 }
 
 TEST(RoutingOracle, BadSourcesThrowWithoutTouchingCounters) {
@@ -222,8 +150,7 @@ TEST(RoutingOracle, TelemetryMirrorsTheCounters) {
   EXPECT_EQ(m.counter("smrp.routing.lookups").value(), 3u);
   EXPECT_EQ(m.counter("smrp.routing.cache_hit").value(), 1u);
   EXPECT_EQ(m.counter("smrp.routing.cache_miss").value(), 2u);
-  EXPECT_EQ(m.counter("smrp.routing.cache_incremental").value(), 1u);
-  EXPECT_EQ(m.counter("smrp.routing.cache_fallback").value(), 1u);
+  EXPECT_EQ(m.counter("smrp.routing.cache_fallback").value(), 2u);
   EXPECT_EQ(m.counter("smrp.routing.cache_hit").value() +
                 m.counter("smrp.routing.cache_miss").value(),
             m.counter("smrp.routing.lookups").value());
@@ -457,7 +384,7 @@ TEST(RoutingOracle, ConcurrentLookupsKeepInvariants) {
 
 TEST(RoutingOracle, SameKeyStampedeComputesOnce) {
   // DESIGN.md §16's memoized-miss protocol: N threads racing on one cold
-  // key must produce exactly ONE Dijkstra run. The stripe lock serializes
+  // key must produce exactly ONE Dijkstra run. The oracle's lock serializes
   // the probe/install, so the first thread is the only miss; every other
   // thread either waits on the in-flight cell or reads the ready entry —
   // a hit either way. The counters below are exact, not statistical.
@@ -501,15 +428,13 @@ TEST(RoutingOracle, SameKeyStampedeComputesOnce) {
 TEST(RoutingOracle, ConcurrentMissesNeverExceedDistinctKeys) {
   // The dedup guarantee at hammer scale: K threads sweeping the same key
   // set (sources and one-link exclusions) produce at most one computation
-  // per distinct key, concurrency notwithstanding. max_entries is sized
-  // past the key count so eviction cannot manufacture extra misses.
+  // per distinct key, concurrency notwithstanding. The 20 keys fit the
+  // cache, so eviction cannot manufacture extra misses.
   net::Rng rng(29);
   WaxmanParams wax;
   wax.node_count = 60;
   const Graph g = waxman_graph(wax, rng);
-  RoutingOracle::Config config;
-  config.max_entries = 4096;
-  RoutingOracle oracle(g, config);
+  RoutingOracle oracle(g);
 
   constexpr int kThreads = 8;
   constexpr int kSources = 10;
@@ -562,20 +487,20 @@ TEST(RoutingOracle, SnapshotGaugesTrackResidentTrees) {
   EXPECT_EQ(m.gauge("smrp.routing.snapshot_bytes").value(),
             static_cast<double>(oracle.snapshot_bytes()));
 
-  // Invalidation is lazy: re-probing the flushed key drops the stale
-  // entries of that stripe and installs the recomputed snapshot.
-  oracle.invalidate();
+  // A topology change flushes the whole cache on the next probe, which
+  // then installs the one recomputed snapshot.
+  fig.graph.set_link_weight(fig.AD, 10.0);
   (void)oracle.spf(Fig1Topology::S);
-  EXPECT_GE(oracle.snapshot_count(), 1u);
-  EXPECT_LE(oracle.snapshot_count(), 2u);
-  EXPECT_EQ(m.gauge("smrp.routing.snapshot_count").value(),
-            static_cast<double>(oracle.snapshot_count()));
+  EXPECT_EQ(oracle.snapshot_count(), 1u);
+  EXPECT_EQ(m.gauge("smrp.routing.snapshot_count").value(), 1.0);
+  EXPECT_EQ(m.gauge("smrp.routing.snapshot_bytes").value(),
+            static_cast<double>(oracle.snapshot_bytes()));
 }
 
 // ---------------------------------------------------------------------------
-// Randomized oracle-vs-fresh equivalence property (the ISSUE's satellite):
-// a long random mix of plain lookups, exclusion lookups, incremental
-// chains, and topology mutations must stay bit-identical to free Dijkstra.
+// Randomized oracle-vs-fresh equivalence property: a long random mix of
+// plain lookups, exclusion lookups, persistent-failure chains, and topology
+// mutations must stay bit-identical to free Dijkstra.
 // ---------------------------------------------------------------------------
 
 void run_equivalence_property(Graph& g, std::uint64_t seed, int steps) {

@@ -146,8 +146,8 @@ TEST(ChaosSoak, HardenedSurvivesAcrossSeeds) {
 TEST(ChaosSoak, OracleCountersBalanceThroughTheSoak) {
   // Same drill as the hardened soak, but with telemetry attached: the
   // session's RoutingOracle must publish balanced cache counters (every
-  // lookup is exactly one hit or one miss, every miss exactly one
-  // incremental repair or one full run) no matter what the fault plan
+  // lookup is exactly one hit or one miss, every miss exactly one full
+  // run) no matter what the fault plan
   // does to the topology underneath it.
   const net::Graph g = soak_ring(12);
   SessionConfig config;
@@ -175,13 +175,11 @@ TEST(ChaosSoak, OracleCountersBalanceThroughTheSoak) {
   const std::uint64_t lookups = m.counter("smrp.routing.lookups").value();
   const std::uint64_t hits = m.counter("smrp.routing.cache_hit").value();
   const std::uint64_t misses = m.counter("smrp.routing.cache_miss").value();
-  const std::uint64_t incremental =
-      m.counter("smrp.routing.cache_incremental").value();
   const std::uint64_t fallback =
       m.counter("smrp.routing.cache_fallback").value();
   EXPECT_GT(lookups, 0u);  // the soak actually routed through the oracle
   EXPECT_EQ(lookups, hits + misses);
-  EXPECT_EQ(misses, incremental + fallback);
+  EXPECT_EQ(misses, fallback);
 }
 
 TEST(ChaosSoak, NonceStateStaysBoundedThroughTheSoak) {

@@ -232,7 +232,9 @@ TEST_P(BuilderProperty, ReshapeToFixpointNeverWorsensMeanShr) {
     return total / builder.tree().member_count();
   };
   const double before = mean_shr();
-  builder.reshape_to_fixpoint();
+  // Condition II until quiescent, at most ten passes.
+  for (int pass = 0; pass < 10 && builder.reshape_pass() > 0; ++pass) {
+  }
   builder.tree().validate();
   EXPECT_LE(mean_shr(), before + 1e-9);
 }

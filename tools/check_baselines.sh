@@ -1,15 +1,19 @@
 #!/usr/bin/env bash
-# Regenerate every committed BENCH_*.json at the arguments it was recorded
-# with and bench_diff each against the committed file, at the threshold
-# its gate has always used. Every diff runs, so one pass shows everything
-# that moved; the script exits 1 if any baseline drifted (or a bench
-# failed) and 0 when every pinned bench outcome holds.
+# Check every pinned outcome in one pass: regenerate every committed
+# BENCH_*.json at the arguments it was recorded with and bench_diff each
+# against the committed file, at the threshold its gate has always used;
+# then run the repository benchmark's digest self-test and the pinned
+# telemetry-export hash test. Every check runs, each under its own "=="
+# header, so one pass shows everything that moved; the script exits 1 if
+# any baseline drifted, a digest or the export hash moved, or a bench
+# failed, and 0 when every pinned outcome holds.
 #
 #   tools/check_baselines.sh <build-dir> [out-dir]
 #
-# <build-dir> holds the built benches (bench/) and tools/bench_diff; the
-# regenerated reports go to [out-dir] (default <build-dir>/bench-regen) as
-# <name>-regen.json. What is held, and how tightly:
+# <build-dir> holds the built benches (bench/), tools/bench_diff and
+# tests/test_obs; the regenerated reports go to [out-dir] (default
+# <build-dir>/bench-regen) as <name>-regen.json. What is held, and how
+# tightly:
 #   - the paper figures (fig7–10), the two DES baselines (restoration
 #     time, chaos recovery) and the ten extension benches: seeded and
 #     thread-count deterministic, so any drift past 1% means the model
@@ -17,10 +21,12 @@
 #   - sim_core: only the wheel/reference speedup ratios, which are
 #     machine-independent but noisy, within a 50% band;
 #   - the scale smoke: every det_* series exactly, at 1 worker against
-#     BENCH_scale-smoke.json and at 4 workers against the 1-worker run.
-# The other pinned outcomes have their own checks: perf/selftest.py
-# compares the benchmark's digests, and ctest runs the telemetry-export
-# hash test.
+#     BENCH_scale-smoke.json and at 4 workers against the 1-worker run;
+#   - perf/run.py's EXPECTED_DIGESTS, through python3 perf/selftest.py
+#     (every workload at tiny size, on 1 and 3 workers; it builds its own
+#     binary into .bench_build/);
+#   - the chaos soak's telemetry export, whose line count and FNV-1a hash
+#     TelemetrySoak.AttachedSoakExportIsPinned holds.
 set -u
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
@@ -82,8 +88,15 @@ regen scale-smoke-workers4 bench_scale --smoke --workers 4 &&
   check "$out/scale-smoke-regen.json" "$out/scale-smoke-workers4-regen.json" \
     --threshold 0.000001 --series '*/det_*'
 
+echo "== perf/selftest.py (benchmark outcome digests)"
+python3 "$root/perf/selftest.py" || failed=1
+
+echo "== TelemetrySoak.AttachedSoakExportIsPinned (soak export hash)"
+"$build/tests/test_obs" \
+  --gtest_filter=TelemetrySoak.AttachedSoakExportIsPinned || failed=1
+
 if [ "$failed" -ne 0 ]; then
-  echo "check_baselines: drift (see the DRIFT tables above)" >&2
+  echo "check_baselines: drift (see the DRIFT tables and failures above)" >&2
   exit 1
 fi
-echo "check_baselines: every baseline holds"
+echo "check_baselines: every pinned outcome holds"

@@ -433,8 +433,7 @@ void render_run(const RunSection& run, bool show_samples) {
                                   static_cast<double>(lookups),
                               1)
               << "% hit rate (" << hits << " hits, " << misses
-              << " misses: " << routing("cache_incremental")
-              << " incremental, " << routing("cache_fallback")
+              << " misses, " << routing("cache_fallback")
               << " full runs), " << routing("invalidations")
               << " invalidations";
     // Resident snapshot footprint, when the run carries the gauges.
