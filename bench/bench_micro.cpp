@@ -164,7 +164,7 @@ std::vector<net::ExclusionSet> failure_chain(const net::Graph& g,
   return chain;
 }
 
-// run_sweep's workload: member sets on one topology share the oracle, so
+// A figure sweep's workload: member sets on one topology share the oracle, so
 // every join after the first set is served from cache.
 void BM_OracleJoinSweep(benchmark::State& state) {
   const net::Graph g = make_graph(static_cast<int>(state.range(0)));

@@ -18,13 +18,13 @@ int main(int argc, char** argv) {
   using namespace smrp;
 
   // The 5-node network of the paper's Figure 1 (S=0, A=1, B=2, C=3, D=4).
-  net::Graph g(5);
-  g.add_link(0, 1, 1.0);                         // S–A
-  g.add_link(0, 2, 1.0);                         // S–B
-  g.add_link(1, 3, 1.0);                         // A–C
-  const net::LinkId l_ad = g.add_link(1, 4, 1.0);  // A–D
-  g.add_link(2, 4, 2.0);                         // B–D
-  g.add_link(3, 4, 2.0);                         // C–D
+  const net::Graph g(5, {{0, 1, 1.0},    // S–A
+                         {0, 2, 1.0},    // S–B
+                         {1, 3, 1.0},    // A–C
+                         {1, 4, 1.0},    // A–D
+                         {2, 4, 2.0},    // B–D
+                         {3, 4, 2.0}});  // C–D
+  const net::LinkId l_ad = *g.link_between(1, 4);
 
   // 1. Build the multicast tree with SMRP (D_thresh = 0.3 by default).
   proto::SmrpTreeBuilder smrp(g, /*source=*/0);

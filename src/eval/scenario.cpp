@@ -260,44 +260,4 @@ ScenarioResult run_scenario(const ScenarioParams& p, net::Rng& rng) {
   return run_scenario_on_graph(g, p, rng);
 }
 
-SweepCell run_sweep(const ScenarioParams& p, int topologies, int member_sets,
-                    std::uint64_t seed) {
-  net::Rng root(seed);
-  SweepCell cell;
-  std::vector<double> rd_rel;
-  std::vector<double> rd_rel_hops;
-  std::vector<double> delay_rel;
-  std::vector<double> cost_rel;
-  double degree_sum = 0.0;
-
-  for (int t = 0; t < topologies; ++t) {
-    net::Rng topo_rng = root.fork();
-    const Graph g = make_topology(p, topo_rng);
-    // Member sets on the same topology share one oracle: sources and
-    // worst-case failures repeat across sets, so the cache carries over.
-    net::RoutingOracle oracle(g);
-    for (int s = 0; s < member_sets; ++s) {
-      net::Rng scenario_rng = topo_rng.fork();
-      const ScenarioResult r = run_scenario_on_graph(g, p, scenario_rng,
-                                                     &oracle);
-      rd_rel.push_back(r.mean_rd_relative());
-      rd_rel_hops.push_back(r.mean_rd_relative_hops());
-      delay_rel.push_back(r.mean_delay_relative());
-      cost_rel.push_back(r.cost_relative());
-      degree_sum += r.avg_degree;
-      cell.invalid_members +=
-          static_cast<int>(r.members.size()) - r.valid_member_count();
-      cell.fallback_joins += r.fallback_joins;
-      cell.reshapes += r.reshape_count;
-      ++cell.scenarios;
-    }
-  }
-  cell.rd_relative = summarize(rd_rel);
-  cell.rd_relative_hops = summarize(rd_rel_hops);
-  cell.delay_relative = summarize(delay_rel);
-  cell.cost_relative = summarize(cost_rel);
-  cell.avg_degree = cell.scenarios > 0 ? degree_sum / cell.scenarios : 0.0;
-  return cell;
-}
-
 }  // namespace smrp::eval

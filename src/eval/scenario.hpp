@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "eval/stats.hpp"
 #include "net/rng.hpp"
 #include "net/routing_oracle.hpp"
 #include "net/waxman.hpp"
@@ -132,25 +131,5 @@ struct ScenarioResult {
 /// Run one scenario end-to-end: generates the topology first.
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioParams& p,
                                           net::Rng& rng);
-
-/// Aggregates over a sweep cell (e.g. one D_thresh value): distributions of
-/// the three relative metrics over scenarios, as the paper's error-bar
-/// plots require.
-struct SweepCell {
-  Summary rd_relative;       ///< over scenario means (weight-based RD)
-  Summary rd_relative_hops;  ///< over scenario means (new-links-based RD)
-  Summary delay_relative;    ///< over scenario means
-  Summary cost_relative;   ///< over scenarios
-  double avg_degree = 0.0;
-  int scenarios = 0;
-  int invalid_members = 0;
-  int fallback_joins = 0;
-  int reshapes = 0;
-};
-
-/// The paper's experiment grid: `topologies` random graphs × `member_sets`
-/// random member sets per graph (10 × 10 in §4.3.2).
-[[nodiscard]] SweepCell run_sweep(const ScenarioParams& p, int topologies,
-                                  int member_sets, std::uint64_t seed);
 
 }  // namespace smrp::eval

@@ -1,13 +1,13 @@
 #include "hier/subgraph.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace smrp::hier {
 
 SubgraphView::SubgraphView(const Graph& parent,
                            std::vector<NodeId> global_nodes)
-    : graph_(static_cast<int>(global_nodes.size())),
-      to_global_nodes_(std::move(global_nodes)) {
+    : to_global_nodes_(std::move(global_nodes)) {
   for (NodeId local = 0; local < static_cast<NodeId>(to_global_nodes_.size());
        ++local) {
     const NodeId global = to_global_nodes_[static_cast<std::size_t>(local)];
@@ -16,15 +16,17 @@ SubgraphView::SubgraphView(const Graph& parent,
       throw std::invalid_argument("duplicate node in subgraph");
     }
   }
+  std::vector<net::Link> links;
   for (LinkId l = 0; l < parent.link_count(); ++l) {
     const net::Link& link = parent.link(l);
     const auto a = to_local_.find(link.a);
     const auto b = to_local_.find(link.b);
     if (a == to_local_.end() || b == to_local_.end()) continue;
-    const LinkId local = graph_.add_link(a->second, b->second, link.weight);
+    link_to_local_.emplace(l, static_cast<LinkId>(links.size()));
+    links.push_back(net::Link{a->second, b->second, link.weight});
     to_global_links_.push_back(l);
-    link_to_local_.emplace(l, local);
   }
+  graph_ = Graph(static_cast<int>(to_global_nodes_.size()), std::move(links));
 }
 
 NodeId SubgraphView::to_local(NodeId global) const {

@@ -1,10 +1,8 @@
 #include "net/graph.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <sstream>
 #include <stdexcept>
@@ -18,199 +16,78 @@ double euclidean(const Point& p, const Point& q) noexcept {
   return std::sqrt(dx * dx + dy * dy);
 }
 
-Graph::Graph(int node_count) {
-  if (node_count < 0) throw std::invalid_argument("negative node count");
-  node_count_ = node_count;
-  degree_.resize(static_cast<std::size_t>(node_count), 0);
-}
-
-void Graph::copy_from(const Graph& other) {
-  // Copy under the source's CSR lock so a concurrent lazy rebuild in
-  // another reader cannot tear the arrays mid-copy.
-  std::lock_guard<std::mutex> lock(other.csr_mutex_);
-  links_ = other.links_;
-  node_count_ = other.node_count_;
-  degree_ = other.degree_;
-  // The key table is not copied: the copy's next add_link, if it ever
-  // makes one, rebuilds it from links_.
-  release_keys();
-  positions_ = other.positions_;
-  topology_version_ = other.topology_version_;
-  dup_check_ops_ = other.dup_check_ops_;
-  offsets_ = other.offsets_;
-  packed_ = other.packed_;
-  csr_valid_.store(other.csr_valid_.load(std::memory_order_acquire),
-                   std::memory_order_release);
-  // Nor is the bridge tree: the copy builds its own if a search asks.
-  bridges_ = BridgeTree{};
-  bridges_version_.store(0, std::memory_order_release);
-}
-
-void Graph::move_from(Graph&& other) noexcept {
-  links_ = std::move(other.links_);
-  node_count_ = other.node_count_;
-  degree_ = std::move(other.degree_);
-  keys_ = std::move(other.keys_);
-  positions_ = std::move(other.positions_);
-  topology_version_ = other.topology_version_;
-  dup_check_ops_ = other.dup_check_ops_;
-  offsets_ = std::move(other.offsets_);
-  packed_ = std::move(other.packed_);
-  csr_valid_.store(other.csr_valid_.load(std::memory_order_acquire),
-                   std::memory_order_release);
-  bridges_ = std::move(other.bridges_);
-  bridges_version_.store(other.bridges_version_.load(std::memory_order_acquire),
-                         std::memory_order_release);
-}
-
-Graph::Graph(const Graph& other) { copy_from(other); }
-
-Graph::Graph(Graph&& other) noexcept { move_from(std::move(other)); }
-
-Graph& Graph::operator=(const Graph& other) {
-  if (this != &other) copy_from(other);
-  return *this;
-}
-
-Graph& Graph::operator=(Graph&& other) noexcept {
-  if (this != &other) move_from(std::move(other));
-  return *this;
-}
-
-Graph Graph::from_links(int node_count, std::span<const Link> links) {
-  Graph g(node_count);
-  g.links_.reserve(links.size());
-  g.rebuild_keys(links.size());
-  for (const Link& l : links) {
-    g.check_new_link(l.a, l.b, l.weight);
-    g.links_.push_back(l);
-    ++g.degree_[static_cast<std::size_t>(l.a)];
-    ++g.degree_[static_cast<std::size_t>(l.b)];
-  }
-  // Same observable state as the incremental path: Graph(n) starts at
-  // version 0 and every add_link bumps once.
-  g.topology_version_ = links.size();
-  g.rebuild_csr();
-  return g;
-}
-
-NodeId Graph::add_nodes(int count) {
-  if (count <= 0) throw std::invalid_argument("node count must be positive");
-  const NodeId first = node_count();
-  // NodeId is 32-bit; a runaway generator must fail loudly, not wrap.
-  if (static_cast<std::int64_t>(node_count_) + count >
-      std::numeric_limits<NodeId>::max()) {
-    throw std::overflow_error("node count exceeds NodeId range");
-  }
-  node_count_ += count;
-  degree_.resize(static_cast<std::size_t>(node_count_), 0);
-  ++topology_version_;
-  mark_csr_stale();
-  return first;
-}
-
-void Graph::check_new_link(NodeId a, NodeId b, double weight) {
-  if (!valid_node(a) || !valid_node(b)) {
-    throw std::out_of_range("link endpoint out of range");
-  }
-  if (a == b) throw std::invalid_argument("self-loop rejected");
-  if (!(weight > 0.0)) throw std::invalid_argument("weight must be positive");
-  // The table is empty after a read released it (or before the first
-  // link); at most half full otherwise, so every probe ends.
-  if (2 * (links_.size() + 1) > keys_.size()) rebuild_keys(links_.size() + 1);
-  ++dup_check_ops_;
-  if (!insert_key(endpoint_key(a, b))) {
-    // A rejected first link after a read leaves the CSR valid: drop the
-    // table again instead of keeping it behind a valid CSR.
-    if (csr_valid_.load(std::memory_order_relaxed)) release_keys();
-    throw std::invalid_argument("parallel link rejected");
-  }
-}
-
-void Graph::release_keys() const noexcept {
-  std::vector<std::uint64_t>().swap(keys_);
-}
-
-void Graph::rebuild_keys(std::size_t links) {
-  // Release the old table before sizing the new one, so growth never
-  // holds both.
-  release_keys();
-  keys_.resize(std::bit_ceil(std::max<std::size_t>(2 * links, 16)));
-  for (const Link& l : links_) insert_key(endpoint_key(l.a, l.b));
-}
-
-bool Graph::insert_key(std::uint64_t key) noexcept {
-  // Fibonacci hashing: the top bits of the golden-ratio product spread
-  // both endpoint halves of the key across the table.
-  const std::size_t mask = keys_.size() - 1;
-  const int shift = std::countl_zero(keys_.size()) + 1;
-  auto i = static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift);
-  for (;; i = (i + 1) & mask) {
-    if (keys_[i] == key) return false;
-    if (keys_[i] == 0) {
-      keys_[i] = key;
-      return true;
+std::vector<char> joined_to_node_zero(int node_count,
+                                      std::span<const Link> links) {
+  // Union-find with path halving; each set is named by its lowest node.
+  std::vector<NodeId> up(static_cast<std::size_t>(node_count));
+  for (NodeId n = 0; n < node_count; ++n) up[static_cast<std::size_t>(n)] = n;
+  const auto root = [&up](NodeId n) {
+    while (up[static_cast<std::size_t>(n)] != n) {
+      NodeId& next = up[static_cast<std::size_t>(n)];
+      next = up[static_cast<std::size_t>(next)];
+      n = next;
     }
+    return n;
+  };
+  for (const Link& l : links) {
+    const NodeId a = root(l.a);
+    const NodeId b = root(l.b);
+    up[static_cast<std::size_t>(std::max(a, b))] = std::min(a, b);
   }
-}
-
-LinkId Graph::add_link(NodeId a, NodeId b, double weight) {
-  check_new_link(a, b, weight);
-  const LinkId id = link_count();
-  links_.push_back(Link{a, b, weight});
-  ++degree_[static_cast<std::size_t>(a)];
-  ++degree_[static_cast<std::size_t>(b)];
-  ++topology_version_;
-  mark_csr_stale();
-  return id;
-}
-
-void Graph::set_link_weight(LinkId id, double weight) {
-  if (id < 0 || id >= link_count()) {
-    throw std::out_of_range("link id out of range");
+  std::vector<char> joined(static_cast<std::size_t>(node_count), 0);
+  for (NodeId n = 0; n < node_count; ++n) {
+    joined[static_cast<std::size_t>(n)] = root(n) == 0 ? 1 : 0;
   }
-  if (!(weight > 0.0)) throw std::invalid_argument("weight must be positive");
-  links_[static_cast<std::size_t>(id)].weight = weight;
-  ++topology_version_;
-  // Adjacency structure is unchanged: the CSR stays valid.
+  return joined;
 }
 
-void Graph::rebuild_csr() const {
-  std::lock_guard<std::mutex> lock(csr_mutex_);
-  if (csr_valid_.load(std::memory_order_relaxed)) return;
-  // A read ends the construction batch: the duplicate-check table goes
-  // first, so its memory is back before the CSR arrays are sized.
-  release_keys();
-
-  const auto nodes = static_cast<std::size_t>(node_count_);
+Graph::Graph(int node_count, std::vector<Link> links)
+    : node_count_(node_count), links_(std::move(links)) {
+  if (node_count < 0) throw std::invalid_argument("negative node count");
+  const auto nodes = static_cast<std::size_t>(node_count);
   offsets_.assign(nodes + 1, 0);
-  for (std::size_t n = 0; n < nodes; ++n) {
-    offsets_[n + 1] =
-        offsets_[n] + static_cast<std::size_t>(degree_[n]);
+  for (const Link& l : links_) {
+    if (!valid_node(l.a) || !valid_node(l.b)) {
+      throw std::out_of_range("link endpoint out of range");
+    }
+    if (l.a == l.b) throw std::invalid_argument("self-loop rejected");
+    if (!(l.weight > 0.0)) {
+      throw std::invalid_argument("weight must be positive");
+    }
+    ++offsets_[static_cast<std::size_t>(l.a) + 1];
+    ++offsets_[static_cast<std::size_t>(l.b) + 1];
   }
-  packed_.resize(2 * links_.size());
+  for (std::size_t n = 0; n < nodes; ++n) offsets_[n + 1] += offsets_[n];
 
-  // Filling in link-id order reproduces the legacy per-node push_back
-  // order exactly — the differential suite depends on it.
+  // Filling in link-id order gives each node its links in list order.
+  packed_.resize(2 * links_.size());
   std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
   for (LinkId id = 0; id < link_count(); ++id) {
     const Link& l = links_[static_cast<std::size_t>(id)];
     packed_[cursor[static_cast<std::size_t>(l.a)]++] = Adjacency{l.b, id};
     packed_[cursor[static_cast<std::size_t>(l.b)]++] = Adjacency{l.a, id};
   }
-  csr_valid_.store(true, std::memory_order_release);
+
+  // Parallel links share their lower endpoint's row: scanning each row for
+  // the higher neighbors, stamped with the row's node, checks every link
+  // once.
+  std::vector<NodeId> seen_from(nodes, kNoNode);
+  for (NodeId u = 0; u < node_count; ++u) {
+    for (const Adjacency& adj : neighbors(u)) {
+      if (adj.neighbor < u) continue;
+      ++dup_check_ops_;
+      NodeId& stamp = seen_from[static_cast<std::size_t>(adj.neighbor)];
+      if (stamp == u) throw std::invalid_argument("parallel link rejected");
+      stamp = u;
+    }
+  }
+  build_bridge_tree();
 }
 
-void Graph::rebuild_bridge_tree() const {
-  std::lock_guard<std::mutex> lock(bridges_mutex_);
-  const std::uint64_t version = topology_version_ + 1;
-  if (bridges_version_.load(std::memory_order_relaxed) == version) return;
-
+void Graph::build_bridge_tree() {
   const auto nodes = static_cast<std::size_t>(node_count_);
   BridgeTree& t = bridges_;
   t.component.assign(nodes, -1);
-  t.parent.clear();
-  t.parent_link.clear();
   t.has_child_bridge.assign(nodes, 0);
 
   // Iterative Tarjan over the CSR. low[v] is the earliest discovery time
@@ -281,7 +158,6 @@ void Graph::rebuild_bridge_tree() const {
     t.parent[c] = t.component[up];
     t.has_child_bridge[up] = 1;
   }
-  bridges_version_.store(version, std::memory_order_release);
 }
 
 std::optional<LinkId> Graph::link_between(NodeId u, NodeId v) const {

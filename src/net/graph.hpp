@@ -5,33 +5,25 @@
 // (the paper's Figure 1 annotates links with delays) and as link cost for
 // the tree-cost metric, matching the paper's SPF-on-delay evaluation.
 //
-// Storage is CSR (compressed sparse row): one packed Adjacency array plus
-// per-node offsets, rebuilt lazily after a mutation batch (DESIGN.md §14).
-// Mutators only append to the link list and bump per-node degrees; the
-// first neighbor read after a mutation performs one O(V + E) counting-sort
-// rebuild, so bulk construction is linear instead of the old per-node
-// vector-of-vectors' allocation storm. Neighbor order within a node is the
-// link-insertion order — exactly what the legacy per-node push_back layout
-// produced — so every CSR traversal is bit-identical to the old layout.
+// A Graph is built once, from its node count and link list, and never
+// changes: the persistent failures SMRP restores from are bans on this one
+// substrate (ExclusionSet, SimNetwork's up/down flags), never edits to it
+// (DESIGN.md §14). The constructor validates the links and derives
+// everything a reader needs before it returns: CSR (compressed sparse row)
+// adjacency, one packed Adjacency array plus per-node offsets filled in
+// link-id order, so each node's neighbors come in the order its links
+// were listed; and the bridge tree (DESIGN.md §17, "Dead-end regions").
+// Apart from set_positions(), which attaches a generator's coordinates and
+// touches nothing derived, every member function is a const read, so any
+// number of threads may share a built graph without synchronisation.
 //
-// There is no persistent endpoint index: paths carry the link ids their
-// searches already hold, and link_between() scans the CSR row of the
-// lower-degree endpoint. Duplicate-link detection during construction
-// probes a transient flat open-addressing table of (min, max) endpoint
-// keys, so add_link stays O(1) amortized (a linear adjacency scan made
-// hub-heavy construction O(Σ deg²)). The table exists only while the CSR
-// is stale: the CSR rebuild releases it, and the first add_link after a
-// read rebuilds it from the link list.
-//
-// The bridge tree (DESIGN.md §17, "Dead-end regions") is derived the same
-// way: built by the first search that asks for it after a topology change,
-// never by a graph nobody prunes a search on.
+// There is no endpoint index: paths carry the link ids their searches
+// already hold, and link_between() scans the CSR row of the lower-degree
+// endpoint.
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -73,6 +65,13 @@ struct Point {
 
 [[nodiscard]] double euclidean(const Point& p, const Point& q) noexcept;
 
+/// Per node of [0, node_count), 1 when `links` join it to node 0 (node 0
+/// included): the connectivity test the random generators run on a link
+/// list before they build its graph. Requires node_count > 0 and every
+/// endpoint in range.
+[[nodiscard]] std::vector<char> joined_to_node_zero(
+    int node_count, std::span<const Link> links);
+
 /// The forest the bridges of a graph form over its 2-edge-connected
 /// components (DESIGN.md §17, "Dead-end regions"). A bridge is a link
 /// whose removal disconnects its endpoints; cutting every bridge leaves
@@ -93,47 +92,17 @@ struct BridgeTree {
 
 /// Undirected weighted multigraph-free graph. Self-loops and parallel links
 /// are rejected; weights must be strictly positive.
-///
-/// Thread-safety: mutation is single-threaded; concurrent reads are safe,
-/// including the first read after a mutation batch (the lazy CSR rebuild,
-/// which also releases the duplicate-check table, is guarded by a mutex
-/// and published with release/acquire ordering, and so is the lazy
-/// bridge-tree build). Spans returned by neighbors() and the
-/// bridge_tree() reference stay valid until the next mutation.
 class Graph {
  public:
+  /// The empty graph.
   Graph() = default;
-  explicit Graph(int node_count);
 
-  Graph(const Graph& other);
-  Graph(Graph&& other) noexcept;
-  Graph& operator=(const Graph& other);
-  Graph& operator=(Graph&& other) noexcept;
-
-  /// Bulk construction: `node_count` nodes plus all of `links` in one
-  /// pass, with the same validation as add_link (and the same resulting
-  /// state, topology_version() included), but building the CSR arrays
-  /// directly — no lazy-rebuild debt, one O(V + E) pass.
-  [[nodiscard]] static Graph from_links(int node_count,
-                                        std::span<const Link> links);
-
-  /// Append `count` fresh isolated nodes; returns the id of the first one.
-  NodeId add_nodes(int count);
-
-  /// Insert an undirected link; returns its id. Precondition: a != b, both
-  /// valid, weight > 0, and no link between a and b exists yet.
-  LinkId add_link(NodeId a, NodeId b, double weight);
-
-  /// Change an existing link's weight (must stay strictly positive).
-  void set_link_weight(LinkId id, double weight);
-
-  /// Monotone counter bumped by every topology mutation (node/link
-  /// insertion, weight change). Consumers that cache anything derived
-  /// from the topology — RoutingOracle above all — compare this against
-  /// the version they computed under and flush when it moved.
-  [[nodiscard]] std::uint64_t topology_version() const noexcept {
-    return topology_version_;
-  }
+  /// `node_count` nodes joined by `links`; link i gets id i. Throws
+  /// std::invalid_argument for a negative node count, a self-loop, a
+  /// non-positive weight or a second link between the same two nodes, and
+  /// std::out_of_range for an endpoint outside [0, node_count). One
+  /// O(V + E) pass builds the CSR adjacency and the bridge tree.
+  Graph(int node_count, std::vector<Link> links);
 
   [[nodiscard]] int node_count() const noexcept { return node_count_; }
   [[nodiscard]] int link_count() const noexcept {
@@ -149,21 +118,20 @@ class Graph {
 
   [[nodiscard]] std::span<const Adjacency> neighbors(NodeId n) const {
     assert(valid_node(n));
-    if (!csr_valid_.load(std::memory_order_acquire)) rebuild_csr();
     const std::size_t begin = offsets_[static_cast<std::size_t>(n)];
     const std::size_t end = offsets_[static_cast<std::size_t>(n) + 1];
     return {packed_.data() + begin, end - begin};
   }
 
-  /// O(1): degrees are maintained incrementally, never via the CSR.
   [[nodiscard]] int degree(NodeId n) const {
     assert(valid_node(n));
-    return degree_[static_cast<std::size_t>(n)];
+    return static_cast<int>(offsets_[static_cast<std::size_t>(n) + 1] -
+                            offsets_[static_cast<std::size_t>(n)]);
   }
 
   /// Link between u and v if one exists: a scan of the lower-degree
-  /// endpoint's CSR row (built first if stale, like neighbors()). Hot
-  /// paths pass the link ids their searches hold instead of calling this.
+  /// endpoint's CSR row. Hot paths pass the link ids their searches hold
+  /// instead of calling this.
   [[nodiscard]] std::optional<LinkId> link_between(NodeId u, NodeId v) const;
 
   [[nodiscard]] bool valid_node(NodeId n) const noexcept {
@@ -191,14 +159,8 @@ class Graph {
   /// True iff the graph stays connected after removing `failed_link`.
   [[nodiscard]] bool connected_without(LinkId failed_link) const;
 
-  /// The bridge tree of the current topology: one O(V + E) build on the
-  /// first call after a topology change (keyed to topology_version()),
-  /// shared by every later call. Copies rebuild their own on demand.
-  [[nodiscard]] const BridgeTree& bridge_tree() const {
-    if (bridges_version_.load(std::memory_order_acquire) !=
-        topology_version_ + 1) {
-      rebuild_bridge_tree();
-    }
+  /// The bridge tree, built with the graph.
+  [[nodiscard]] const BridgeTree& bridge_tree() const noexcept {
     return bridges_;
   }
 
@@ -208,9 +170,9 @@ class Graph {
   }
   void set_positions(std::vector<Point> positions);
 
-  /// Total key-table probes spent on add_link duplicate checks so far — the
-  /// operation count the complexity regression test pins (one probe per
-  /// insertion; the legacy adjacency scan spent O(deg) comparisons each).
+  /// Comparisons the constructor spent on duplicate-link checks: one per
+  /// link, the operation count the complexity regression test pins (a
+  /// scan of an endpoint's row per link costs O(deg) each).
   [[nodiscard]] std::uint64_t duplicate_check_ops() const noexcept {
     return dup_check_ops_;
   }
@@ -219,56 +181,16 @@ class Graph {
   [[nodiscard]] std::string to_string() const;
 
  private:
-  /// Packed (min, max) endpoint key for the duplicate-link table. Never 0
-  /// (the two endpoints differ, so hi > 0), which marks an empty cell.
-  [[nodiscard]] static std::uint64_t endpoint_key(NodeId u, NodeId v) noexcept {
-    const auto lo = static_cast<std::uint32_t>(u < v ? u : v);
-    const auto hi = static_cast<std::uint32_t>(u < v ? v : u);
-    return (static_cast<std::uint64_t>(lo) << 32) | hi;
-  }
+  void build_bridge_tree();
 
-  /// Validate one new link and record its key, (re)building the key table
-  /// first if it is missing or would pass half full; throws on a bad
-  /// endpoint, a self-loop, a non-positive weight or a parallel link.
-  void check_new_link(NodeId a, NodeId b, double weight);
-  /// Size the key table for `links` entries at most half full and fill it
-  /// from links_.
-  void rebuild_keys(std::size_t links);
-  void release_keys() const noexcept;
-  /// Insert `key`; false if it is already present.
-  bool insert_key(std::uint64_t key) noexcept;
-
-  void rebuild_csr() const;
-  void rebuild_bridge_tree() const;
-  void mark_csr_stale() noexcept {
-    csr_valid_.store(false, std::memory_order_relaxed);
-  }
-  void copy_from(const Graph& other);
-  void move_from(Graph&& other) noexcept;
-
-  std::vector<Link> links_;
   int node_count_ = 0;
-  std::vector<int> degree_;  ///< per-node degree, maintained on add_link
-  /// Transient duplicate-check table: a power-of-two open-addressing
-  /// (linear probing) set of endpoint keys, 0 = empty cell. Empty while
-  /// the CSR is valid; rebuild_csr() releases it.
-  mutable std::vector<std::uint64_t> keys_;
+  std::vector<Link> links_;
   std::vector<Point> positions_;
-  std::uint64_t topology_version_ = 0;
   std::uint64_t dup_check_ops_ = 0;
-
-  // CSR arrays, rebuilt lazily on first read after a mutation batch.
-  mutable std::vector<std::size_t> offsets_;  ///< node_count_ + 1 entries
-  mutable std::vector<Adjacency> packed_;     ///< 2 · link_count entries
-  mutable std::atomic<bool> csr_valid_{false};
-  mutable std::mutex csr_mutex_;
-
-  // Bridge tree, built lazily like the CSR (it reads the CSR, so its
-  // mutex is always taken first).
-  mutable BridgeTree bridges_;
-  /// topology_version_ + 1 of the build in bridges_; 0 before the first.
-  mutable std::atomic<std::uint64_t> bridges_version_{0};
-  mutable std::mutex bridges_mutex_;
+  /// CSR adjacency: node n's row is packed_[offsets_[n], offsets_[n + 1]).
+  std::vector<std::size_t> offsets_;
+  std::vector<Adjacency> packed_;
+  BridgeTree bridges_;
 };
 
 }  // namespace smrp::net

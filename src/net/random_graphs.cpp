@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace smrp::net {
@@ -13,46 +14,35 @@ double draw_weight(double lo, double hi, Rng& rng) {
   return rng.uniform(lo, hi);
 }
 
-Graph sample_gnp(const ErdosRenyiParams& p, Rng& rng) {
-  Graph g(p.node_count);
+std::vector<Link> sample_gnp(const ErdosRenyiParams& p, Rng& rng) {
+  std::vector<Link> links;
   for (NodeId u = 0; u < p.node_count; ++u) {
     for (NodeId v = u + 1; v < p.node_count; ++v) {
       if (rng.uniform() < p.edge_probability) {
-        g.add_link(u, v, draw_weight(p.min_weight, p.max_weight, rng));
+        links.push_back(
+            Link{u, v, draw_weight(p.min_weight, p.max_weight, rng)});
       }
     }
   }
-  return g;
+  return links;
 }
 
 /// Bridge components with random links until connected.
-int patch_random(Graph& g, double lo, double hi, Rng& rng) {
+int patch_random(int node_count, std::vector<Link>& links, double lo,
+                 double hi, Rng& rng) {
   int added = 0;
   for (;;) {
-    // Component of node 0.
-    std::vector<char> in_main(static_cast<std::size_t>(g.node_count()), 0);
-    std::vector<NodeId> stack{0};
-    in_main[0] = 1;
-    while (!stack.empty()) {
-      const NodeId n = stack.back();
-      stack.pop_back();
-      for (const Adjacency& adj : g.neighbors(n)) {
-        if (!in_main[static_cast<std::size_t>(adj.neighbor)]) {
-          in_main[static_cast<std::size_t>(adj.neighbor)] = 1;
-          stack.push_back(adj.neighbor);
-        }
-      }
-    }
+    const std::vector<char> in_main = joined_to_node_zero(node_count, links);
     std::vector<NodeId> inside;
     std::vector<NodeId> outside;
-    for (NodeId n = 0; n < g.node_count(); ++n) {
+    for (NodeId n = 0; n < node_count; ++n) {
       (in_main[static_cast<std::size_t>(n)] ? inside : outside).push_back(n);
     }
     if (outside.empty()) return added;
     const NodeId u = inside[static_cast<std::size_t>(rng.below(inside.size()))];
     const NodeId v =
         outside[static_cast<std::size_t>(rng.below(outside.size()))];
-    g.add_link(u, v, draw_weight(lo, hi, rng));
+    links.push_back(Link{u, v, draw_weight(lo, hi, rng)});
     ++added;
   }
 }
@@ -65,14 +55,20 @@ ErdosRenyiResult generate_erdos_renyi(const ErdosRenyiParams& p, Rng& rng) {
     throw std::invalid_argument("edge probability must be in (0, 1]");
   }
   ErdosRenyiResult result;
+  std::vector<Link> links;
   for (int attempt = 0;; ++attempt) {
-    result.graph = sample_gnp(p, rng);
-    if (result.graph.connected()) return result;
-    if (attempt >= p.max_resample_attempts) break;
+    links = sample_gnp(p, rng);
+    if (std::ranges::count(joined_to_node_zero(p.node_count, links), 0) == 0) {
+      break;
+    }
+    if (attempt >= p.max_resample_attempts) {
+      result.patched_links = patch_random(p.node_count, links, p.min_weight,
+                                          p.max_weight, rng);
+      break;
+    }
     ++result.resamples;
   }
-  result.patched_links =
-      patch_random(result.graph, p.min_weight, p.max_weight, rng);
+  result.graph = Graph(p.node_count, std::move(links));
   return result;
 }
 
@@ -86,7 +82,7 @@ Graph barabasi_albert_graph(const BarabasiAlbertParams& p, Rng& rng) {
   if (p.node_count < seed_size) {
     throw std::invalid_argument("node count below the seed clique size");
   }
-  Graph g(p.node_count);
+  std::vector<Link> links;
   // Attachment pool: one entry per link endpoint, so sampling uniformly
   // from it is sampling proportionally to degree.
   std::vector<NodeId> endpoint_pool;
@@ -94,7 +90,8 @@ Graph barabasi_albert_graph(const BarabasiAlbertParams& p, Rng& rng) {
   // Seed: a small clique so every early node has degree > 0.
   for (NodeId u = 0; u < seed_size; ++u) {
     for (NodeId v = u + 1; v < seed_size; ++v) {
-      g.add_link(u, v, draw_weight(p.min_weight, p.max_weight, rng));
+      links.push_back(
+          Link{u, v, draw_weight(p.min_weight, p.max_weight, rng)});
       endpoint_pool.push_back(u);
       endpoint_pool.push_back(v);
     }
@@ -108,16 +105,14 @@ Graph barabasi_albert_graph(const BarabasiAlbertParams& p, Rng& rng) {
            guard++ < 1000) {
       const NodeId target = endpoint_pool[static_cast<std::size_t>(
           rng.below(endpoint_pool.size()))];
-      // The newcomer's only links are the ones it made this round, so
-      // its own list answers "already linked" without reading the graph
-      // (a read mid-build would force a CSR rebuild per newcomer).
+      // The newcomer's only links are the ones it made this round.
       if (target == newcomer ||
           std::find(attached_to.begin(), attached_to.end(), target) !=
               attached_to.end()) {
         continue;
       }
-      g.add_link(newcomer, target,
-                 draw_weight(p.min_weight, p.max_weight, rng));
+      links.push_back(Link{newcomer, target,
+                           draw_weight(p.min_weight, p.max_weight, rng)});
       attached_to.push_back(target);
     }
     // Register the new endpoints only after all of this newcomer's
@@ -127,7 +122,7 @@ Graph barabasi_albert_graph(const BarabasiAlbertParams& p, Rng& rng) {
       endpoint_pool.push_back(target);
     }
   }
-  return g;
+  return Graph(p.node_count, std::move(links));
 }
 
 }  // namespace smrp::net

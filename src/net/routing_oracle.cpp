@@ -42,8 +42,7 @@ void RoutingOracle::WorkspaceLease::release() noexcept {
   oracle_ = nullptr;
 }
 
-RoutingOracle::RoutingOracle(const Graph& g)
-    : g_(&g), seen_version_(g.topology_version()) {}
+RoutingOracle::RoutingOracle(const Graph& g) : g_(&g) {}
 
 void RoutingOracle::count(std::uint64_t& stat, obs::Counter* counter) {
   ++stat;
@@ -74,7 +73,6 @@ RoutingOracle::TreePtr RoutingOracle::spf(NodeId source,
         count(stats_.lookups, c_lookups_);
         counted = true;
       }
-      flush_if_stale_locked();
       const auto it = entries_.find(key);
       if (it != entries_.end() && it->second.source == source &&
           entry_matches(it->second, excluded)) {
@@ -134,8 +132,8 @@ RoutingOracle::TreePtr RoutingOracle::spf(NodeId source,
     }
 
     // Publish to waiters first (they only need the bytes), then to the
-    // map (which may meanwhile have been flushed — then the snapshot is
-    // simply not cached, never wrong).
+    // map (where a colliding key may meanwhile have replaced the entry —
+    // then the snapshot is simply not cached, never wrong).
     {
       std::lock_guard<std::mutex> cell_lock(cell->mu);
       cell->tree = tree;
@@ -178,18 +176,6 @@ void RoutingOracle::publish_locked(std::uint64_t key,
   snapshots_changed_locked(count_delta, bytes_delta);
 }
 
-void RoutingOracle::flush_if_stale_locked() {
-  const std::uint64_t version = g_->topology_version();
-  if (version == seen_version_) return;
-  seen_version_ = version;
-  count(stats_.invalidations, c_invalidations_);
-  entries_.clear();
-  if (snapshot_count_ != 0) {
-    snapshots_changed_locked(-static_cast<std::int64_t>(snapshot_count_),
-                             -static_cast<std::int64_t>(snapshot_bytes_));
-  }
-}
-
 RoutingOracle::TreePtr RoutingOracle::full_run(NodeId source,
                                                const ExclusionSet& excluded) {
   const WorkspaceLease lease = workspace();
@@ -224,7 +210,7 @@ void RoutingOracle::return_workspace(
 void RoutingOracle::attach_telemetry(obs::Telemetry* telemetry) {
   std::lock_guard<std::mutex> lock(mu_);
   if (telemetry == nullptr) {
-    c_lookups_ = c_hit_ = c_miss_ = c_fallback_ = c_invalidations_ = nullptr;
+    c_lookups_ = c_hit_ = c_miss_ = c_fallback_ = nullptr;
     g_snapshot_count_ = g_snapshot_bytes_ = nullptr;
     return;
   }
@@ -233,7 +219,6 @@ void RoutingOracle::attach_telemetry(obs::Telemetry* telemetry) {
   c_hit_ = &m.counter("smrp.routing.cache_hit");
   c_miss_ = &m.counter("smrp.routing.cache_miss");
   c_fallback_ = &m.counter("smrp.routing.cache_fallback");
-  c_invalidations_ = &m.counter("smrp.routing.invalidations");
   g_snapshot_count_ = &m.gauge("smrp.routing.snapshot_count");
   g_snapshot_bytes_ = &m.gauge("smrp.routing.snapshot_bytes");
   g_snapshot_count_->set(static_cast<double>(snapshot_count_));

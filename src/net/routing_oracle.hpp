@@ -1,5 +1,5 @@
-// RoutingOracle: the shared, topology-versioned shortest-path service
-// every SPF consumer in this codebase goes through (DESIGN.md §10, §16).
+// RoutingOracle: the shared shortest-path service every SPF consumer in
+// this codebase goes through (DESIGN.md §10, §16).
 //
 // The paper's core claim is that restoration speed is bounded by how fast
 // a surviving path can be found after a persistent failure. Before the
@@ -9,9 +9,9 @@
 // calls. The oracle centralises those searches behind one cache:
 //
 //  * Plain SPF trees are cached per (source, exclusion signature) as
-//    shared immutable snapshots, at most kMaxEntries of them (LRU), all
-//    dropped whenever Graph::topology_version() moves. Every miss is one
-//    full Dijkstra run.
+//    shared immutable snapshots, at most kMaxEntries of them (LRU). The
+//    graph never changes (net/graph.hpp), so a snapshot stays exact for
+//    the oracle's lifetime. Every miss is one full Dijkstra run.
 //  * Tree-state-dependent searches (absorbing candidate enumeration,
 //    detour searches) are not cacheable; the oracle serves them from a
 //    pool of reusable DijkstraWorkspaces instead.
@@ -28,7 +28,7 @@
 // and the hit/full-run split move with the thread count. Misses on
 // different keys run in parallel, each in its own leased workspace.
 // Returned trees are shared_ptr<const> snapshots that stay valid across
-// invalidation and eviction, and after the oracle itself is gone.
+// eviction, and after the oracle itself is gone.
 //
 // Cache management is wall-clock free (LRU over a monotone lookup tick),
 // so runs remain bit-for-bit reproducible at any thread count.
@@ -72,8 +72,7 @@ class RoutingOracle {
     /// Always 0: no miss is repaired from another cached tree. Kept so
     /// the reports that print it keep their fields.
     std::uint64_t incremental_repairs = 0;
-    std::uint64_t full_runs = 0;      ///< misses, one full Dijkstra each
-    std::uint64_t invalidations = 0;  ///< cache flushes on version bumps
+    std::uint64_t full_runs = 0;  ///< misses, one full Dijkstra each
 
     /// Fold another oracle's (or run's) counters into this one — the one
     /// summation every stats consumer shares (multi-oracle benches, the
@@ -84,7 +83,6 @@ class RoutingOracle {
       cache_misses += other.cache_misses;
       incremental_repairs += other.incremental_repairs;
       full_runs += other.full_runs;
-      invalidations += other.invalidations;
       return *this;
     }
   };
@@ -136,7 +134,7 @@ class RoutingOracle {
 
   /// Shortest-path tree from `source` over the whole graph / avoiding the
   /// banned components. Served from cache when (source, exclusion
-  /// signature) was seen under the current topology version, otherwise
+  /// signature) was seen before and not evicted since, otherwise
   /// computed by one full Dijkstra run; concurrent misses on the same key
   /// are memoized (one computation, every caller shares the snapshot).
   /// Throws like dijkstra() on a bad or banned source. Safe to call from
@@ -149,9 +147,9 @@ class RoutingOracle {
 
   /// Attach (or detach with nullptr) telemetry; the cache counters are
   /// published as smrp.routing.{lookups,cache_hit,cache_miss,
-  /// cache_fallback,invalidations} (cache_fallback counts the full runs)
-  /// and the resident snapshot footprint as the smrp.routing.{
-  /// snapshot_count,snapshot_bytes} gauges. Pure observation — results
+  /// cache_fallback} (cache_fallback counts the full runs) and the
+  /// resident snapshot footprint as the smrp.routing.{snapshot_count,
+  /// snapshot_bytes} gauges. Pure observation — results
   /// are bit-identical attached or detached. Call before sharing the
   /// oracle across threads.
   void attach_telemetry(obs::Telemetry* telemetry);
@@ -169,8 +167,9 @@ class RoutingOracle {
   /// Rendezvous for concurrent misses on one key: the winner computes
   /// the snapshot outside the oracle's lock and publishes it here; losers
   /// wait on the cell instead of duplicating the Dijkstra run. The cell
-  /// is self-contained (own mutex), so a flush mid-computation strands no
-  /// waiter — they still receive the winner's tree.
+  /// is self-contained (own mutex), so a colliding key that replaces the
+  /// entry mid-computation strands no waiter — they still receive the
+  /// winner's tree.
   struct Cell {
     std::mutex mu;
     std::condition_variable cv;
@@ -197,11 +196,8 @@ class RoutingOracle {
   /// oracle lock held).
   TreePtr full_run(NodeId source, const ExclusionSet& excluded);
 
-  /// Must hold mu_. Drop every entry when the topology version moved
-  /// since the last probe (one invalidation per move).
-  void flush_if_stale_locked();
   /// Must hold mu_. Install the winner's snapshot in its entry, unless a
-  /// flush or a colliding key replaced the entry meanwhile, and evict
+  /// colliding key replaced the entry meanwhile, and evict
   /// down to kMaxEntries.
   void publish_locked(std::uint64_t key, const std::shared_ptr<Cell>& cell,
                       const TreePtr& tree);
@@ -218,7 +214,6 @@ class RoutingOracle {
 
   mutable std::mutex mu_;  ///< guards everything below up to pool_mu_
   std::unordered_map<std::uint64_t, Entry> entries_;
-  std::uint64_t seen_version_ = 0;  ///< topology version entries_ is for
   std::uint64_t lru_tick_ = 0;
   Stats stats_;
   std::uint64_t snapshot_count_ = 0;
@@ -230,7 +225,6 @@ class RoutingOracle {
   obs::Counter* c_hit_ = nullptr;
   obs::Counter* c_miss_ = nullptr;
   obs::Counter* c_fallback_ = nullptr;
-  obs::Counter* c_invalidations_ = nullptr;
   obs::Gauge* g_snapshot_count_ = nullptr;
   obs::Gauge* g_snapshot_bytes_ = nullptr;
 

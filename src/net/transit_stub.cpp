@@ -4,24 +4,22 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace smrp::net {
 
 namespace {
 
-/// Copy `sub` into `dest` starting at node id `base`, translating positions
-/// by (dx, dy). Returns the positions that were appended.
-std::vector<Point> splice_subgraph(Graph& dest, NodeId base, const Graph& sub,
-                                   double dx, double dy) {
+/// Append `sub`'s links to `links` and its positions, translated by
+/// (dx, dy), to `positions`, its node ids starting at `base`.
+void splice_subgraph(std::vector<Link>& links, std::vector<Point>& positions,
+                     NodeId base, const Graph& sub, double dx, double dy) {
   for (const Link& l : sub.links()) {
-    dest.add_link(base + l.a, base + l.b, l.weight);
+    links.push_back(Link{base + l.a, base + l.b, l.weight});
   }
-  std::vector<Point> moved;
-  moved.reserve(static_cast<std::size_t>(sub.node_count()));
   for (const Point& p : sub.positions()) {
-    moved.push_back(Point{p.x + dx, p.y + dy});
+    positions.push_back(Point{p.x + dx, p.y + dy});
   }
-  return moved;
 }
 
 }  // namespace
@@ -56,14 +54,10 @@ TransitStubTopology generate_transit_stub(const TransitStubParams& p,
   Graph core = waxman_graph(core_params, rng);
 
   const int total_nodes = static_cast<int>(total_nodes_wide);
-  topo.graph = Graph(total_nodes);
+  std::vector<Link> links(core.links().begin(), core.links().end());
   std::vector<Point> positions;
   positions.reserve(static_cast<std::size_t>(total_nodes));
-
   for (const Point& point : core.positions()) positions.push_back(point);
-  for (const Link& l : core.links()) {
-    topo.graph.add_link(l.a, l.b, l.weight);
-  }
 
   topo.domain_of_node.assign(static_cast<std::size_t>(total_nodes),
                              kTransitDomain);
@@ -82,7 +76,7 @@ TransitStubTopology generate_transit_stub(const TransitStubParams& p,
 
       Graph patch;
       if (p.stub_size == 1) {
-        patch = Graph(1);
+        patch = Graph(1, {});
         patch.set_positions({Point{p.stub_patch_size / 2, p.stub_patch_size / 2}});
       } else {
         WaxmanParams stub_params;
@@ -102,10 +96,7 @@ TransitStubTopology generate_transit_stub(const TransitStubParams& p,
       const double dy = gw_pos.y + radius * std::sin(angle);
 
       const NodeId base = next_node;
-      std::vector<Point> patch_positions =
-          splice_subgraph(topo.graph, base, patch, dx, dy);
-      positions.insert(positions.end(), patch_positions.begin(),
-                       patch_positions.end());
+      splice_subgraph(links, positions, base, patch, dx, dy);
 
       topo.nodes_of_domain.emplace_back();
       for (int i = 0; i < p.stub_size; ++i) {
@@ -119,13 +110,14 @@ TransitStubTopology generate_transit_stub(const TransitStubParams& p,
       const double weight = p.weight_mode == LinkWeightMode::kUnit
                                 ? 1.0
                                 : std::max(access_dist, 1e-6);
-      topo.graph.add_link(gateway, base, weight);
+      links.push_back(Link{gateway, base, weight});
       topo.gateway_of_domain.push_back(gateway);
 
       next_node += p.stub_size;
     }
   }
 
+  topo.graph = Graph(total_nodes, std::move(links));
   topo.graph.set_positions(std::move(positions));
   if (!topo.graph.connected()) {
     throw std::logic_error("transit-stub construction produced a disconnected graph");

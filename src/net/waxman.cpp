@@ -5,6 +5,7 @@
 #include <limits>
 #include <numbers>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace smrp::net {
@@ -25,12 +26,19 @@ double link_weight(LinkWeightMode mode, double distance, Rng& rng) {
   throw std::logic_error("unknown weight mode");
 }
 
-Graph sample_once(const WaxmanParams& p, Rng& rng) {
-  Graph g(p.node_count);
-  std::vector<Point> pos(static_cast<std::size_t>(p.node_count));
-  for (auto& point : pos) {
+/// One sample: node positions and the links drawn between them.
+struct Sample {
+  std::vector<Point> positions;
+  std::vector<Link> links;
+};
+
+Sample sample_once(const WaxmanParams& p, Rng& rng) {
+  Sample sample;
+  sample.positions.resize(static_cast<std::size_t>(p.node_count));
+  for (auto& point : sample.positions) {
     point = Point{rng.uniform(0.0, p.plane_size), rng.uniform(0.0, p.plane_size)};
   }
+  const auto& pos = sample.positions;
   const double diagonal = p.plane_size * std::numbers::sqrt2;
   for (NodeId u = 0; u < p.node_count; ++u) {
     for (NodeId v = u + 1; v < p.node_count; ++v) {
@@ -38,40 +46,27 @@ Graph sample_once(const WaxmanParams& p, Rng& rng) {
                                  pos[static_cast<std::size_t>(v)]);
       const double probability = p.alpha * std::exp(-d / (p.beta * diagonal));
       if (rng.uniform() < probability) {
-        g.add_link(u, v, link_weight(p.weight_mode, d, rng));
+        sample.links.push_back(Link{u, v, link_weight(p.weight_mode, d, rng)});
       }
     }
   }
-  g.set_positions(std::move(pos));
-  return g;
+  return sample;
 }
 
 /// Connect all components by repeatedly adding the geometrically shortest
 /// link between the component containing node 0 and the rest.
-int patch_connectivity(Graph& g, LinkWeightMode mode, Rng& rng) {
+int patch_connectivity(Sample& sample, LinkWeightMode mode, Rng& rng) {
   int added = 0;
-  const auto positions = g.positions();
+  const auto& positions = sample.positions;
+  const auto nodes = static_cast<NodeId>(positions.size());
   for (;;) {
-    // Label the component of node 0.
-    std::vector<char> in_main(static_cast<std::size_t>(g.node_count()), 0);
-    std::vector<NodeId> stack{0};
-    in_main[0] = 1;
-    while (!stack.empty()) {
-      const NodeId n = stack.back();
-      stack.pop_back();
-      for (const Adjacency& adj : g.neighbors(n)) {
-        if (!in_main[static_cast<std::size_t>(adj.neighbor)]) {
-          in_main[static_cast<std::size_t>(adj.neighbor)] = 1;
-          stack.push_back(adj.neighbor);
-        }
-      }
-    }
+    const std::vector<char> in_main = joined_to_node_zero(nodes, sample.links);
     NodeId best_u = kNoNode;
     NodeId best_v = kNoNode;
     double best_d = std::numeric_limits<double>::infinity();
-    for (NodeId u = 0; u < g.node_count(); ++u) {
+    for (NodeId u = 0; u < nodes; ++u) {
       if (!in_main[static_cast<std::size_t>(u)]) continue;
-      for (NodeId v = 0; v < g.node_count(); ++v) {
+      for (NodeId v = 0; v < nodes; ++v) {
         if (in_main[static_cast<std::size_t>(v)]) continue;
         const double d = euclidean(positions[static_cast<std::size_t>(u)],
                                    positions[static_cast<std::size_t>(v)]);
@@ -83,7 +78,8 @@ int patch_connectivity(Graph& g, LinkWeightMode mode, Rng& rng) {
       }
     }
     if (best_u == kNoNode) return added;  // already connected
-    g.add_link(best_u, best_v, link_weight(mode, best_d, rng));
+    sample.links.push_back(
+        Link{best_u, best_v, link_weight(mode, best_d, rng)});
     ++added;
   }
 }
@@ -99,14 +95,21 @@ WaxmanResult generate_waxman(const WaxmanParams& p, Rng& rng) {
     throw std::invalid_argument("beta must be in (0, 1]");
   }
   WaxmanResult result;
+  Sample sample;
   for (int attempt = 0;; ++attempt) {
-    result.graph = sample_once(p, rng);
-    if (result.graph.connected()) return result;
-    if (attempt >= p.max_resample_attempts) break;
+    sample = sample_once(p, rng);
+    if (std::ranges::count(joined_to_node_zero(p.node_count, sample.links),
+                           0) == 0) {
+      break;
+    }
+    if (attempt >= p.max_resample_attempts) {
+      result.patched_links = patch_connectivity(sample, p.weight_mode, rng);
+      break;
+    }
     ++result.resamples;
   }
-  result.patched_links =
-      patch_connectivity(result.graph, p.weight_mode, rng);
+  result.graph = Graph(p.node_count, std::move(sample.links));
+  result.graph.set_positions(std::move(sample.positions));
   return result;
 }
 

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <istream>
 #include <limits>
@@ -10,137 +9,21 @@
 #include <stdexcept>
 #include <utility>
 
+#include "obs/jsonl.hpp"
+
 namespace smrp::obs::expect {
 
 namespace {
 
-/// One key/value of a flat JSONL record, in file order (order matters:
-/// span/event attributes replay in attachment order).
-struct Field {
-  std::string key;
-  bool is_string = false;
-  std::string str;
-  double num = 0.0;
-};
+using Fields = std::vector<JsonlField>;
 
 [[noreturn]] void fail(std::size_t line, const std::string& what) {
   throw std::runtime_error("line " + std::to_string(line) + ": " + what);
 }
 
-/// Minimal parser for the exporter's flat schema: one object per line,
-/// string or numeric values only. Lenient about field sets (forward
-/// compatible), strict about shape.
-std::vector<Field> parse_flat(const std::string& text, std::size_t line) {
-  std::vector<Field> fields;
-  std::size_t i = 0;
-  const auto skip_ws = [&] {
-    while (i < text.size() &&
-           (text[i] == ' ' || text[i] == '\t' || text[i] == '\r')) {
-      ++i;
-    }
-  };
-  const auto expect_char = [&](char c) {
-    skip_ws();
-    if (i >= text.size() || text[i] != c) {
-      fail(line, std::string("expected '") + c + "'");
-    }
-    ++i;
-  };
-  const auto parse_string = [&] {
-    expect_char('"');
-    std::string out;
-    while (i < text.size() && text[i] != '"') {
-      char c = text[i++];
-      if (c == '\\') {
-        if (i >= text.size()) fail(line, "dangling escape");
-        const char esc = text[i++];
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'u': {
-            if (i + 4 > text.size()) fail(line, "short \\u escape");
-            unsigned code = 0;
-            for (int k = 0; k < 4; ++k) {
-              const char h = text[i++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                fail(line, "bad \\u escape");
-              }
-            }
-            if (code > 0x7f) fail(line, "non-ASCII \\u escape");
-            out += static_cast<char>(code);
-            break;
-          }
-          default:
-            fail(line, std::string("unknown escape \\") + esc);
-        }
-      } else {
-        out += c;
-      }
-    }
-    if (i >= text.size()) fail(line, "unterminated string");
-    ++i;  // closing quote
-    return out;
-  };
-
-  expect_char('{');
-  skip_ws();
-  if (i < text.size() && text[i] == '}') {
-    ++i;
-  } else {
-    while (true) {
-      Field field;
-      field.key = parse_string();
-      expect_char(':');
-      skip_ws();
-      if (i < text.size() && text[i] == '"') {
-        field.is_string = true;
-        field.str = parse_string();
-      } else {
-        const std::size_t start = i;
-        while (i < text.size() && text[i] != ',' && text[i] != '}') ++i;
-        const std::string token = text.substr(start, i - start);
-        char* end = nullptr;
-        field.num = std::strtod(token.c_str(), &end);
-        if (end == token.c_str() || *end != '\0') {
-          fail(line, "bad numeric value for " + field.key);
-        }
-      }
-      fields.push_back(std::move(field));
-      skip_ws();
-      if (i < text.size() && text[i] == ',') {
-        ++i;
-        continue;
-      }
-      expect_char('}');
-      break;
-    }
-  }
-  skip_ws();
-  if (i != text.size()) fail(line, "trailing characters");
-  return fields;
-}
-
-const Field* find(const std::vector<Field>& fields, std::string_view key) {
-  for (const Field& f : fields) {
-    if (f.key == key) return &f;
-  }
-  return nullptr;
-}
-
-double require_num(const std::vector<Field>& fields, std::string_view key,
+double require_num(const Fields& fields, std::string_view key,
                    std::size_t line) {
-  const Field* f = find(fields, key);
+  const JsonlField* f = find_field(fields, key);
   if (f == nullptr || f->is_string) {
     fail(line, "missing numeric field " + std::string(key));
   }
@@ -151,7 +34,7 @@ double require_num(const std::vector<Field>& fields, std::string_view key,
 /// out-of-range values fail with the line number instead of reaching a
 /// float-to-integer cast, which is undefined for them.
 template <class T>
-T require_integer(const std::vector<Field>& fields, std::string_view key,
+T require_integer(const Fields& fields, std::string_view key,
                   std::size_t line) {
   const double value = require_num(fields, key, line);
   // 2^digits: the first value past T's range, exact as a double.
@@ -165,9 +48,9 @@ T require_integer(const std::vector<Field>& fields, std::string_view key,
   return static_cast<T>(value);
 }
 
-const std::string& require_str(const std::vector<Field>& fields,
-                               std::string_view key, std::size_t line) {
-  const Field* f = find(fields, key);
+const std::string& require_str(const Fields& fields, std::string_view key,
+                               std::size_t line) {
+  const JsonlField* f = find_field(fields, key);
   if (f == nullptr || !f->is_string) {
     fail(line, "missing string field " + std::string(key));
   }
@@ -234,7 +117,12 @@ OfflineResult check_stream(std::istream& in, const RuleSet& rules,
   while (std::getline(in, text)) {
     ++line;
     if (text.empty()) continue;
-    const std::vector<Field> fields = parse_flat(text, line);
+    Fields fields;
+    try {
+      fields = parse_jsonl_line(text);
+    } catch (const std::invalid_argument& e) {
+      fail(line, e.what());
+    }
     const std::string type = require_str(fields, "type", line);
     if (type == "meta") {
       flush_section();
@@ -261,7 +149,7 @@ OfflineResult check_stream(std::istream& in, const RuleSet& rules,
       if (span.status == SpanStatus::kOpen) {
         fail(line, "span with unknown status");  // exporter never writes open
       }
-      for (const Field& f : fields) {
+      for (const JsonlField& f : fields) {
         if (f.is_string || is_core_span_key(f.key)) continue;
         span.attrs.emplace_back(f.key, f.num);
       }
@@ -269,7 +157,7 @@ OfflineResult check_stream(std::istream& in, const RuleSet& rules,
     } else if (type == "event") {
       keys.clear();
       values.clear();
-      for (const Field& f : fields) {
+      for (const JsonlField& f : fields) {
         if (f.is_string || is_core_event_key(f.key)) continue;
         keys.push_back(f.key);
         values.push_back(f.num);

@@ -44,7 +44,8 @@ struct OfflineResult {
 /// Replay recorded JSONL against `rules`. `run_filter` is a glob over the
 /// meta "run" labels (empty = check every section); filtered-out sections
 /// are skipped entirely. Throws std::runtime_error with a line number on
-/// malformed input or when a span/event record precedes any meta line.
+/// malformed input (a line obs::parse_jsonl_line rejects, or a missing or
+/// mistyped field) or when a span/event record precedes any meta line.
 [[nodiscard]] OfflineResult check_stream(std::istream& in,
                                          const RuleSet& rules,
                                          std::string_view run_filter = {});

@@ -1,10 +1,13 @@
 #include "obs/jsonl.hpp"
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
+#include <system_error>
+#include <utility>
 
 namespace smrp::obs {
 
@@ -94,7 +97,156 @@ class Line {
   std::string text_;
 };
 
+/// Cursor over one line for parse_jsonl_line.
+class LineReader {
+ public:
+  explicit LineReader(std::string_view text) : text_(text) {}
+
+  std::vector<JsonlField> parse() {
+    std::vector<JsonlField> fields;
+    skip_space();
+    expect('{');
+    skip_space();
+    if (!consume('}')) {
+      for (;;) {
+        JsonlField field;
+        field.key = parse_string();
+        for (const JsonlField& f : fields) {
+          if (f.key == field.key) fail("duplicate key \"" + field.key + "\"");
+        }
+        skip_space();
+        expect(':');
+        skip_space();
+        if (peek() == '"') {
+          field.is_string = true;
+          field.str = parse_string();
+        } else {
+          field.num = parse_number(field.key);
+        }
+        fields.push_back(std::move(field));
+        skip_space();
+        if (consume('}')) break;
+        expect(',');
+        skip_space();
+      }
+    }
+    skip_space();
+    if (pos_ != text_.size()) fail("trailing characters");
+    return fields;
+  }
+
+ private:
+  [[noreturn]] void fail(const std::string& what) const {
+    throw std::invalid_argument(what + " at column " +
+                                std::to_string(pos_ + 1));
+  }
+  [[nodiscard]] char peek() const {
+    return pos_ < text_.size() ? text_[pos_] : '\0';
+  }
+  [[nodiscard]] bool at_digit() const { return peek() >= '0' && peek() <= '9'; }
+  bool consume(char c) {
+    if (pos_ >= text_.size() || text_[pos_] != c) return false;
+    ++pos_;
+    return true;
+  }
+  void expect(char c) {
+    if (!consume(c)) fail(std::string("expected '") + c + "'");
+  }
+  void skip_space() {
+    while (peek() == ' ' || peek() == '\t' || peek() == '\r' ||
+           peek() == '\n') {
+      ++pos_;
+    }
+  }
+
+  std::string parse_string() {
+    expect('"');
+    std::string out;
+    for (;;) {
+      if (pos_ >= text_.size()) fail("unterminated string");
+      const char c = text_[pos_++];
+      if (c == '"') return out;
+      if (static_cast<unsigned char>(c) < 0x20) {
+        fail("control character in a string");
+      }
+      if (c != '\\') {
+        out += c;
+        continue;
+      }
+      if (pos_ >= text_.size()) fail("unterminated string");
+      const char esc = text_[pos_++];
+      switch (esc) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case '/': out += '/'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
+        case 'n': out += '\n'; break;
+        case 'r': out += '\r'; break;
+        case 't': out += '\t'; break;
+        case 'u': {
+          unsigned code = 0;
+          for (int i = 0; i < 4; ++i) {
+            const char h = peek();
+            int digit = -1;
+            if (h >= '0' && h <= '9') digit = h - '0';
+            if (h >= 'a' && h <= 'f') digit = h - 'a' + 10;
+            if (h >= 'A' && h <= 'F') digit = h - 'A' + 10;
+            if (digit < 0) fail("bad \\u escape");
+            code = code * 16 + static_cast<unsigned>(digit);
+            ++pos_;
+          }
+          if (code > 0x7f) fail("non-ASCII \\u escape");
+          out += static_cast<char>(code);
+          break;
+        }
+        default:
+          fail(std::string("bad escape '\\") + esc + "'");
+      }
+    }
+  }
+
+  /// A JSON number: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+  double parse_number(const std::string& key) {
+    const std::size_t start = pos_;
+    const auto digits = [&] {
+      if (!at_digit()) fail("bad number for \"" + key + "\"");
+      while (at_digit()) ++pos_;
+    };
+    consume('-');
+    if (!consume('0')) digits();
+    if (consume('.')) digits();
+    if (consume('e') || consume('E')) {
+      if (!consume('+')) consume('-');
+      digits();
+    }
+    double value = 0.0;
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    const auto [end, error] = std::from_chars(first, last, value);
+    if (error != std::errc() || end != last) {
+      fail("number out of range for \"" + key + "\"");
+    }
+    return value;
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+};
+
 }  // namespace
+
+std::vector<JsonlField> parse_jsonl_line(std::string_view line) {
+  return LineReader(line).parse();
+}
+
+const JsonlField* find_field(const std::vector<JsonlField>& fields,
+                             std::string_view key) {
+  for (const JsonlField& f : fields) {
+    if (f.key == key) return &f;
+  }
+  return nullptr;
+}
 
 void JsonlSink::write_snapshot(const Telemetry& telemetry, double now,
                                std::string_view run_label) {

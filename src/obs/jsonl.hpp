@@ -12,13 +12,16 @@
 // Every value is a string or a number (span attributes are flattened into
 // the span line), so consumers need no recursive JSON parser. Doubles are
 // printed with round-trip precision: two exports of the same seeded run
-// diff bit-for-bit. The schema (DESIGN.md §8) is validated end-to-end by
-// tools/trace_report, which CI runs against a chaos soak.
+// diff bit-for-bit. parse_jsonl_line is the one reader of this format:
+// tools/trace_report validates the schema (DESIGN.md §8) with it, which CI
+// runs against a chaos soak, and the offline expectations replay
+// (obs/expect/offline.hpp) reads traces with it.
 #pragma once
 
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "obs/telemetry.hpp"
 
@@ -40,6 +43,27 @@ class JsonlSink {
  private:
   std::ostream* out_;
 };
+
+/// One key/value of an exported line.
+struct JsonlField {
+  std::string key;
+  bool is_string = false;
+  std::string str;   ///< the value, when is_string
+  double num = 0.0;  ///< the value, otherwise
+};
+
+/// Parse one exported line: one JSON object whose keys are strings and
+/// whose values are strings or JSON numbers, nothing nested. Returns the
+/// fields in file order. Throws std::invalid_argument naming the column
+/// on anything else: a duplicate key, a number outside JSON's grammar
+/// (nan, inf, hex, a leading '+' or zero) or a double's range, a raw
+/// control character or unknown escape in a string, a non-ASCII \u
+/// escape, trailing characters.
+[[nodiscard]] std::vector<JsonlField> parse_jsonl_line(std::string_view line);
+
+/// The field named `key` in `fields`, or null.
+[[nodiscard]] const JsonlField* find_field(
+    const std::vector<JsonlField>& fields, std::string_view key);
 
 /// One-shot convenience: write a single snapshot to `path` (truncating).
 /// Throws std::runtime_error when the file cannot be written.

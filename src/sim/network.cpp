@@ -73,10 +73,7 @@ SimNetwork::SimNetwork(Simulator& simulator, const net::Graph& graph,
       handlers_(static_cast<std::size_t>(graph.node_count())),
       link_up_(static_cast<std::size_t>(graph.link_count()), 1),
       node_up_(static_cast<std::size_t>(graph.node_count()), 1),
-      loss_rng_(config.loss_seed) {
-  if (config_.propagation_per_weight < 0.0 || config_.hop_overhead < 0.0) {
-    throw std::invalid_argument("negative latency parameters");
-  }
+      loss_rng_(NetworkConfig::kLossSeed) {
   if (config_.loss_probability < 0.0 || config_.loss_probability >= 1.0) {
     throw std::invalid_argument("loss probability must be in [0, 1)");
   }
@@ -88,8 +85,8 @@ void SimNetwork::set_handler(NodeId node, Handler handler) {
 }
 
 Time SimNetwork::link_latency(LinkId link) const {
-  return config_.hop_overhead +
-         config_.propagation_per_weight * graph_->link(link).weight;
+  return NetworkConfig::kHopOverhead +
+         NetworkConfig::kPropagationPerWeight * graph_->link(link).weight;
 }
 
 std::uint32_t SimNetwork::acquire_envelope() {

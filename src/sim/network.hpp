@@ -26,14 +26,15 @@ namespace smrp::sim {
 
 struct NetworkConfig {
   /// Milliseconds of propagation per unit of link weight.
-  double propagation_per_weight = 0.01;
+  static constexpr double kPropagationPerWeight = 0.01;
   /// Fixed per-hop processing/transmission overhead in ms.
-  double hop_overhead = 0.05;
+  static constexpr double kHopOverhead = 0.05;
+  /// Seed for the deterministic loss process.
+  static constexpr std::uint64_t kLossSeed = 0x10551055ULL;
+
   /// Probability that any single transmission is lost (transient loss on
   /// top of the persistent failures; exercises soft-state robustness).
   double loss_probability = 0.0;
-  /// Seed for the deterministic loss process.
-  std::uint64_t loss_seed = 0x10551055ULL;
 };
 
 class SimNetwork {

@@ -19,7 +19,7 @@ DistributedSession::DistributedSession(sim::Simulator& simulator,
       source_(source),
       config_(config),
       oracle_(std::make_unique<net::RoutingOracle>(network.graph())),
-      jitter_rng_(config.jitter_seed),
+      jitter_rng_(SessionConfig::kJitterSeed),
       conv_detector_(config.convergence) {
   if (!network.graph().valid_node(source)) {
     throw std::out_of_range("bad source");
@@ -440,7 +440,7 @@ void DistributedSession::send_routed_join(net::NodeId from_member) {
   agent(from_member).parent = hop;
   sim::JoinReqMsg msg;
   msg.member = from_member;
-  msg.hop_index = static_cast<std::size_t>(config_.join_ttl);
+  msg.hop_index = static_cast<std::size_t>(SessionConfig::kJoinTtl);
   network_->send(from_member, hop, msg);
 }
 
@@ -564,7 +564,7 @@ void DistributedSession::maintenance(net::NodeId n) {
     // the first converged tick past the threshold.
     ++s.ticks_since_reshape_check;
     const bool condition_two =
-        s.ticks_since_reshape_check >= config_.reshape_every_ticks &&
+        s.ticks_since_reshape_check >= SessionConfig::kReshapeEveryTicks &&
         (!config_.adaptive_triggers || s.conv_converged);
     if (condition_one || condition_two) {
       s.ticks_since_reshape_check = 0;
@@ -731,7 +731,7 @@ void DistributedSession::react_to_dead_upstream(net::NodeId n) {
 }
 
 Time DistributedSession::watchdog_window() const noexcept {
-  return std::max(config_.data_timeout, 3.0 * config_.data_interval);
+  return std::max(SessionConfig::kDataTimeout, 3.0 * config_.data_interval);
 }
 
 void DistributedSession::data_watchdog(net::NodeId n) {
@@ -909,9 +909,10 @@ void DistributedSession::fire_repair_ring(net::NodeId n) {
     // before the next (wider) flood; deterministic jitter decorrelates
     // the retry storms of neighbors that lost the same upstream.
     for (int ring = 0; ring < s.repair_ring; ++ring) {
-      pacing *= config_.repair_backoff;
+      pacing *= SessionConfig::kRepairBackoff;
     }
-    pacing *= 1.0 + config_.repair_jitter * (2.0 * jitter_rng_.uniform() - 1.0);
+    pacing *= 1.0 + SessionConfig::kRepairJitter *
+                         (2.0 * jitter_rng_.uniform() - 1.0);
   }
   ++s.repair_ring;
   if (telemetry_ != nullptr) {

@@ -37,17 +37,11 @@ namespace smrp::proto {
 using sim::Time;
 
 struct SessionConfig {
-  SmrpConfig smrp;                  ///< path-selection knobs (SMRP mode)
-  Time refresh_interval = 100.0;    ///< soft-state + SHR exchange cadence (ms)
-  Time state_timeout = 350.0;       ///< child state expires after this silence
-  Time upstream_timeout = 350.0;    ///< upstream declared dead after this
-  Time data_interval = 25.0;        ///< source payload cadence
-  Time repair_retry = 80.0;         ///< base expanding-ring pacing (SMRP)
-  int max_repair_ttl = 16;          ///< ring search cap
-  int join_ttl = 64;                ///< hop budget for routed (PIM) joins
-  double repair_backoff = 2.0;  ///< ring-pacing multiplier per ring
-  double repair_jitter = 0.25;  ///< ± fraction of pacing jitter per ring
-  std::uint64_t jitter_seed = 0xc4a05c4a05ULL;  ///< repair-jitter RNG seed
+  static constexpr int kJoinTtl = 64;  ///< hop budget for routed (PIM) joins
+  static constexpr double kRepairBackoff = 2.0;  ///< pacing factor per ring
+  static constexpr double kRepairJitter = 0.25;  ///< ± pacing jitter per ring
+  /// Seed of the repair-jitter RNG.
+  static constexpr std::uint64_t kJitterSeed = 0xc4a05c4a05ULL;
   /// Hardened data-plane failure detection: payloads arrive every
   /// data_interval, so this much silence on a previously served node
   /// triggers repair immediately — well before the control-plane
@@ -55,12 +49,20 @@ struct SessionConfig {
   /// reconverges. Clamped to at least 3 * data_interval so slow pumps do
   /// not false-trigger; transient loss must kill that many consecutive
   /// payloads to cause a spurious (and harmless) repair.
-  Time data_timeout = 150.0;
+  static constexpr Time kDataTimeout = 150.0;
   /// Condition II cadence: a member re-runs path selection every this
   /// many maintenance ticks (§3.2.3's periodic timer). Condition I fires
   /// on SHR growth per SmrpConfig::reshape_shr_delta. Both honour
   /// smrp.enable_reshaping.
-  int reshape_every_ticks = 10;
+  static constexpr int kReshapeEveryTicks = 10;
+
+  SmrpConfig smrp;                  ///< path-selection knobs (SMRP mode)
+  Time refresh_interval = 100.0;    ///< soft-state + SHR exchange cadence (ms)
+  Time state_timeout = 350.0;       ///< child state expires after this silence
+  Time upstream_timeout = 350.0;    ///< upstream declared dead after this
+  Time data_interval = 25.0;        ///< source payload cadence
+  Time repair_retry = 80.0;         ///< base expanding-ring pacing (SMRP)
+  int max_repair_ttl = 16;          ///< ring search cap
   /// In-protocol convergence detection (DESIGN.md §13): every on-tree
   /// node piggybacks a termination-detection wave on the refresh traffic
   /// it already sends, and the source detects — from protocol messages
@@ -321,7 +323,7 @@ class DistributedSession {
   /// or stranded-rejoin (SMRP), periodic routed re-join (PIM). Shared by
   /// the maintenance tick and the data-silence watchdog.
   void react_to_dead_upstream(net::NodeId n);
-  /// Hardened fast failure detection: fires data_timeout after the last
+  /// Hardened fast failure detection: fires kDataTimeout after the last
   /// payload; silence on a served node starts repair without waiting for
   /// the control-plane upstream_timeout.
   void data_watchdog(net::NodeId n);

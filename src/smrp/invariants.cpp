@@ -253,14 +253,15 @@ sim::Time service_restoration_bound(const SessionConfig& session,
       session.upstream_timeout + 2.0 * session.refresh_interval;
 
   // Full expanding-ring schedule: TTL doubles per ring, pacing grows by
-  // repair_backoff per ring plus jitter headroom.
+  // kRepairBackoff per ring plus jitter headroom.
   int rings = 1;
   for (int ttl = 1; ttl * 2 <= session.max_repair_ttl; ttl *= 2) ++rings;
   sim::Time ring_wait = 0.0;
-  sim::Time pacing = session.repair_retry * (1.0 + session.repair_jitter);
+  sim::Time pacing =
+      session.repair_retry * (1.0 + SessionConfig::kRepairJitter);
   for (int r = 0; r < rings; ++r) {
     ring_wait += pacing;
-    pacing *= session.repair_backoff;
+    pacing *= SessionConfig::kRepairBackoff;
   }
 
   // IGP reconvergence after the last topology change: neighbour death

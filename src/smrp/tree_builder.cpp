@@ -15,17 +15,11 @@ SmrpTreeBuilder::SmrpTreeBuilder(const Graph& g, NodeId source,
                         ? std::make_unique<net::RoutingOracle>(g)
                         : nullptr),
       oracle_(oracle != nullptr ? oracle : owned_oracle_.get()),
-      spf_from_source_(oracle_->spf(source)),
-      spf_version_(g.topology_version()) {}
+      spf_from_source_(oracle_->spf(source)) {}
 
 double SmrpTreeBuilder::spf_delay(NodeId n) const {
   if (!g_->valid_node(n)) throw std::out_of_range("bad node");
   return spf_from_source_->dist[static_cast<std::size_t>(n)];
-}
-
-const net::ShortestPathTree* SmrpTreeBuilder::bounding_spf() const noexcept {
-  return g_->topology_version() == spf_version_ ? spf_from_source_.get()
-                                                : nullptr;
 }
 
 std::int32_t SmrpTreeBuilder::confining_region(NodeId member) const {
@@ -61,14 +55,10 @@ std::uint64_t SmrpTreeBuilder::region_stamp(std::int32_t region) {
 void SmrpTreeBuilder::record_join(NodeId member, bool selected) {
   Baseline state;
   state.shr = tree_.shr(member);
-  // Regions follow the topology the bridge tree was built for; once it
-  // moves nothing is skipped, so nothing needs tracking either.
-  if (bounding_spf() != nullptr) {
-    state.region = confining_region(member);
-    if (state.region != kNoRegion) {
-      touch_region(state.region);
-      if (selected) state.decided = region_stamp(state.region);
-    }
+  state.region = confining_region(member);
+  if (state.region != kNoRegion) {
+    touch_region(state.region);
+    if (selected) state.decided = region_stamp(state.region);
   }
   baselines_[member] = state;
 }
@@ -89,7 +79,7 @@ JoinOutcome SmrpTreeBuilder::join(NodeId member) {
 
   const std::optional<Selection> selection =
       select_join_path(*g_, tree_, member, spf, config_, oracle_,
-                       bounding_spf());
+                       spf_from_source_.get());
   if (!selection) return outcome;
 
   tree_.graft(member, net::path_links(*g_, selection->chosen.graft));
@@ -151,8 +141,7 @@ bool SmrpTreeBuilder::try_reshape(NodeId member, Baseline& state) {
   // (DESIGN.md §17, "Region-local Condition-I decisions"), so while the
   // region is as it was at its last decision and no member outside every
   // region has moved since, the decline stands.
-  const net::ShortestPathTree* bound = bounding_spf();
-  const bool tracked = bound != nullptr && state.region != kNoRegion;
+  const bool tracked = state.region != kNoRegion;
   if (tracked && state.decided > invalidated_at_ &&
       region_stamps_.find(state.region)->second == state.decided) {
     return false;
@@ -162,7 +151,7 @@ bool SmrpTreeBuilder::try_reshape(NodeId member, Baseline& state) {
   const std::optional<JoinCandidate> best = select_reshape(
       tree_, member,
       enumerate_candidates(*g_, tree_, member, spf_delay(member), config_,
-                           member, nullptr, oracle_, bound));
+                           member, nullptr, oracle_, spf_from_source_.get()));
   if (!best) {
     if (tracked) state.decided = region_stamp(state.region);
     return false;

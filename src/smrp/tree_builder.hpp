@@ -127,12 +127,6 @@ class SmrpTreeBuilder {
   /// `region`'s stamp, refreshed when it predates the last invalidation.
   std::uint64_t region_stamp(std::int32_t region);
 
-  /// spf_from_source_ as the potential that bounds the join and reshape
-  /// searches, or null once the topology has moved since it was fetched:
-  /// a stale SPF could overestimate a distance and prune a within-bound
-  /// graft.
-  [[nodiscard]] const net::ShortestPathTree* bounding_spf() const noexcept;
-
   const Graph* g_;
   SmrpConfig config_;
   MulticastTree tree_;
@@ -140,8 +134,9 @@ class SmrpTreeBuilder {
   /// value): RoutingOracle holds a mutex and is immovable.
   std::unique_ptr<net::RoutingOracle> owned_oracle_;
   net::RoutingOracle* oracle_;
+  /// D_SPF(S, ·), also the potential that bounds every join and reshape
+  /// search.
   net::RoutingOracle::TreePtr spf_from_source_;
-  std::uint64_t spf_version_;  ///< topology version spf_from_source_ is for
   /// Condition-I state per member; its keys are exactly the members.
   FlatMap<NodeId, Baseline> baselines_;
   /// Per touched region, the stamp of its last change. Stamps come from

@@ -179,16 +179,11 @@ TEST(MulticastTree, ValidateRejectsParentLinkThatMissesTheParent) {
   // Grafted on a 0–1–2 chain, then the graph under the tree is replaced
   // by one whose link 0 joins 0 and 2: node 1's parent_link no longer
   // joins it to its parent.
-  net::Graph g(3);
-  g.add_link(0, 1, 1.0);
-  g.add_link(1, 2, 1.0);
+  net::Graph g(3, {{0, 1, 1.0}, {1, 2, 1.0}});
   MulticastTree tree(g, 0);
   tree.graft(2, Links{1, 0});
   ASSERT_NO_THROW(tree.validate());
-  net::Graph rewired(3);
-  rewired.add_link(0, 2, 1.0);
-  rewired.add_link(1, 2, 1.0);
-  g = rewired;
+  g = net::Graph(3, {{0, 2, 1.0}, {1, 2, 1.0}});
   EXPECT_THROW(tree.validate(), std::logic_error);
 }
 

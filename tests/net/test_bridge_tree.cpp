@@ -1,13 +1,11 @@
 // Graph::bridge_tree() and the dead-end marks built on it (DESIGN.md §17,
 // "Dead-end regions"): bridges against the brute-force rule, the roots,
-// lazy rebuilds, concurrent first reads, and pruned absorbing searches
-// against the free dijkstra_absorbing.
+// and pruned absorbing searches against the free dijkstra_absorbing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/graph.hpp"
@@ -31,6 +29,28 @@ int bridge_count(const Graph& g) {
   int bridges = 0;
   for (const Link& l : g.links()) bridges += is_bridge(t, l) ? 1 : 0;
   return bridges;
+}
+
+/// A graph of `nodes` nodes and unit-weight links.
+Graph unit_graph(int nodes,
+                 const std::vector<std::pair<NodeId, NodeId>>& ends) {
+  std::vector<Link> links;
+  for (const auto& [a, b] : ends) links.push_back(Link{a, b, 1.0});
+  return Graph(nodes, std::move(links));
+}
+
+/// The path 0 – 1 – … – nodes-1.
+Graph path_graph(int nodes) {
+  std::vector<std::pair<NodeId, NodeId>> ends;
+  for (NodeId n = 0; n + 1 < nodes; ++n) ends.emplace_back(n, n + 1);
+  return unit_graph(nodes, ends);
+}
+
+/// The star with centre 0 and leaves 1..nodes-1.
+Graph star_graph(int nodes) {
+  std::vector<std::pair<NodeId, NodeId>> ends;
+  for (NodeId leaf = 1; leaf < nodes; ++leaf) ends.emplace_back(0, leaf);
+  return unit_graph(nodes, ends);
 }
 
 /// Every structural claim of BridgeTree, checked from first principles.
@@ -138,8 +158,7 @@ void expect_valid_bridge_tree(const Graph& g) {
 }
 
 TEST(BridgeTree, PathIsAllBridges) {
-  Graph g(5);
-  for (NodeId n = 0; n + 1 < 5; ++n) g.add_link(n, n + 1, 1.0);
+  const Graph g = path_graph(5);
   expect_valid_bridge_tree(g);
   const BridgeTree& t = g.bridge_tree();
   EXPECT_EQ(t.component_count(), 5);
@@ -151,8 +170,8 @@ TEST(BridgeTree, PathIsAllBridges) {
 }
 
 TEST(BridgeTree, CycleHasNoBridge) {
-  Graph g(6);
-  for (NodeId n = 0; n < 6; ++n) g.add_link(n, (n + 1) % 6, 1.0);
+  const Graph g =
+      unit_graph(6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}});
   expect_valid_bridge_tree(g);
   EXPECT_EQ(g.bridge_tree().component_count(), 1);
   EXPECT_EQ(bridge_count(g), 0);
@@ -160,8 +179,7 @@ TEST(BridgeTree, CycleHasNoBridge) {
 }
 
 TEST(BridgeTree, StarHangsEveryLeafOffTheCentre) {
-  Graph g(8);
-  for (NodeId leaf = 1; leaf < 8; ++leaf) g.add_link(0, leaf, 1.0);
+  const Graph g = star_graph(8);
   expect_valid_bridge_tree(g);
   const BridgeTree& t = g.bridge_tree();
   EXPECT_EQ(t.component_count(), 8);
@@ -176,14 +194,17 @@ TEST(BridgeTree, StarHangsEveryLeafOffTheCentre) {
 
 TEST(BridgeTree, BarbellSplitsAtItsHandle) {
   // Two 4-cliques {0..3} and {4..7} joined by the path 3 – 8 – 4.
-  Graph g(9);
+  std::vector<std::pair<NodeId, NodeId>> ends;
   for (NodeId base : {0, 4}) {
     for (NodeId a = base; a < base + 4; ++a) {
-      for (NodeId b = a + 1; b < base + 4; ++b) g.add_link(a, b, 1.0);
+      for (NodeId b = a + 1; b < base + 4; ++b) ends.emplace_back(a, b);
     }
   }
-  const LinkId left = g.add_link(3, 8, 1.0);
-  const LinkId right = g.add_link(8, 4, 1.0);
+  const auto left = static_cast<LinkId>(ends.size());
+  ends.emplace_back(3, 8);
+  const auto right = static_cast<LinkId>(ends.size());
+  ends.emplace_back(8, 4);
+  const Graph g = unit_graph(9, ends);
   expect_valid_bridge_tree(g);
   const BridgeTree& t = g.bridge_tree();
   EXPECT_EQ(t.component_count(), 3);
@@ -204,12 +225,7 @@ TEST(BridgeTree, BarbellSplitsAtItsHandle) {
 
 TEST(BridgeTree, DisconnectedGraphRootsEveryPart) {
   // A path 0–1–2, a triangle 3–4–5 and the isolated node 6.
-  Graph g(7);
-  g.add_link(0, 1, 1.0);
-  g.add_link(1, 2, 1.0);
-  g.add_link(3, 4, 1.0);
-  g.add_link(4, 5, 1.0);
-  g.add_link(5, 3, 1.0);
+  const Graph g = unit_graph(7, {{0, 1}, {1, 2}, {3, 4}, {4, 5}, {5, 3}});
   expect_valid_bridge_tree(g);
   const BridgeTree& t = g.bridge_tree();
   EXPECT_EQ(t.component_count(), 5);
@@ -222,7 +238,7 @@ TEST(BridgeTree, DisconnectedGraphRootsEveryPart) {
 TEST(BridgeTree, EmptyAndSingleNodeGraphs) {
   const Graph empty;
   EXPECT_EQ(empty.bridge_tree().component_count(), 0);
-  const Graph one(1);
+  const Graph one(1, {});
   expect_valid_bridge_tree(one);
   EXPECT_EQ(one.bridge_tree().component_count(), 1);
 }
@@ -280,80 +296,26 @@ TEST(BridgeTree, MatchesBruteForceOnBridgeRichGraphs) {
       bridges += bridge_count(g);
     }
     // A sparse random graph, possibly disconnected.
-    Graph sparse(40);
+    std::vector<std::pair<NodeId, NodeId>> ends;
     for (int k = 0; k < 45; ++k) {
       const auto a = static_cast<NodeId>(rng.below(40));
       const auto b = static_cast<NodeId>(rng.below(40));
-      if (a != b && !sparse.link_between(a, b)) sparse.add_link(a, b, 1.0);
+      const auto same = [a, b](const std::pair<NodeId, NodeId>& e) {
+        return (e.first == a && e.second == b) ||
+               (e.first == b && e.second == a);
+      };
+      if (a != b && std::none_of(ends.begin(), ends.end(), same)) {
+        ends.emplace_back(a, b);
+      }
     }
-    expect_valid_bridge_tree(sparse);
+    expect_valid_bridge_tree(unit_graph(40, ends));
   }
   EXPECT_GT(bridges, 1000);
 }
 
-TEST(BridgeTree, TopologyChangesRebuildTheTree) {
-  Graph g(3);
-  g.add_link(0, 1, 1.0);
-  g.add_link(1, 2, 1.0);
-  EXPECT_EQ(g.bridge_tree().component_count(), 3);
-  EXPECT_EQ(bridge_count(g), 2);
-
-  // Closing the cycle after a read turns both bridges into cycle links.
-  g.add_link(2, 0, 1.0);
-  expect_valid_bridge_tree(g);
-  EXPECT_EQ(g.bridge_tree().component_count(), 1);
-  EXPECT_EQ(bridge_count(g), 0);
-
-  // New nodes arrive isolated, then hang off the cycle by a bridge.
-  EXPECT_EQ(g.add_nodes(2), 3);
-  expect_valid_bridge_tree(g);
-  EXPECT_EQ(g.bridge_tree().component_count(), 3);
-  const LinkId spur = g.add_link(3, 0, 1.0);
-  expect_valid_bridge_tree(g);
-  EXPECT_EQ(g.bridge_tree().component_count(), 3);
-  EXPECT_TRUE(is_bridge(g.bridge_tree(), g.link(spur)));
-
-  // A copy builds its own tree; a weight change keeps the structure.
-  const Graph copy = g;
-  expect_valid_bridge_tree(copy);
-  g.set_link_weight(spur, 4.0);
-  EXPECT_EQ(g.bridge_tree().component, copy.bridge_tree().component);
-}
-
-TEST(BridgeTree, ConcurrentFirstReadsSeeOneBuild) {
-  // A freshly built graph has neither its CSR nor its bridge tree; four
-  // readers race the first bridge_tree() call (which itself reads the
-  // CSR) and must all see the same finished tree.
-  constexpr NodeId kNodes = 3'000;
-  constexpr int kThreads = 4;
-  Graph g(kNodes);
-  for (NodeId n = 1; n < kNodes; ++n) g.add_link(n, n / 2, 1.0);
-  for (NodeId n = 3; n < kNodes; n += 3) g.add_link(n, n - 1, 1.0);
-  std::atomic<bool> go{false};
-  std::vector<std::int64_t> sums(kThreads, 0);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      while (!go.load(std::memory_order_acquire)) {
-      }
-      const BridgeTree& tree = g.bridge_tree();
-      std::int64_t sum = tree.component_count();
-      for (const std::int32_t c : tree.component) sum += c;
-      for (const LinkId l : tree.parent_link) sum += l;
-      sums[static_cast<std::size_t>(t)] = sum;
-    });
-  }
-  go.store(true, std::memory_order_release);
-  for (std::thread& th : threads) th.join();
-  for (const std::int64_t sum : sums) EXPECT_EQ(sum, sums[0]);
-  expect_valid_bridge_tree(g);
-}
-
 TEST(DeadEndMarks, MarkWalksUpAndResetUndoes) {
   // Star: centre 0, leaves 1..5 each their own component.
-  Graph g(6);
-  for (NodeId leaf = 1; leaf < 6; ++leaf) g.add_link(0, leaf, 1.0);
+  const Graph g = star_graph(6);
   DeadEndMarks marks;
   EXPECT_THROW(marks.mark(0), std::out_of_range);
   marks.reset(g);
@@ -367,8 +329,7 @@ TEST(DeadEndMarks, MarkWalksUpAndResetUndoes) {
 }
 
 TEST(DeadEndMarks, PrunedRunSkipsUnmarkedLeavesOnly) {
-  Graph g(6);
-  for (NodeId leaf = 1; leaf < 6; ++leaf) g.add_link(0, leaf, 1.0);
+  const Graph g = star_graph(6);
   std::vector<char> absorbing(6, 0);
   absorbing[4] = 1;
   DijkstraWorkspace ws;

@@ -1,13 +1,15 @@
 // Differential property suite for the CSR graph layout (DESIGN.md §14).
 //
 // The legacy substrate stored one std::vector<Adjacency> per node, filled
-// by push_back at add_link time. The CSR layout must be observationally
-// identical: same neighbor enumeration order per node, same link ids, same
-// SPF trees, same oracle cache behaviour. The reference model here IS the
-// legacy layout (per-node vectors built by the same insertion rule), so
-// any divergence is a real layout bug, not a test artifact.
+// by push_back as each link was added. The CSR layout must be
+// observationally identical: same neighbor enumeration order per node,
+// same link ids, same SPF trees, same oracle cache behaviour. The
+// reference model here IS the legacy layout (per-node vectors built by the
+// same insertion rule), so any divergence is a real layout bug, not a test
+// artifact.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "net/graph.hpp"
@@ -70,24 +72,6 @@ TEST(GraphDifferential, CsrMatchesLegacyOrderOnRandomTopologies) {
   }
 }
 
-TEST(GraphDifferential, CsrStaysIdenticalAcrossInterleavedMutation) {
-  Rng rng(99);
-  Graph g(10);
-  // Interleave reads (forcing rebuilds) with further insertion batches.
-  for (int round = 0; round < 6; ++round) {
-    for (int i = 0; i < 5; ++i) {
-      const auto u = static_cast<NodeId>(rng.below(10));
-      const auto v = static_cast<NodeId>(rng.below(10));
-      if (u == v || g.link_between(u, v)) continue;
-      g.add_link(u, v, 1.0 + static_cast<double>(rng.below(9)));
-    }
-    expect_csr_matches_legacy(g);
-    if (round == 3) {
-      g.add_nodes(4);  // node growth must re-anchor the offsets too
-    }
-  }
-}
-
 TEST(GraphDifferential, SpfBitIdenticalOnCsr) {
   // SPF consumes the graph exclusively through neighbors(); with the
   // enumeration order pinned above, trees must match a run over an
@@ -97,10 +81,9 @@ TEST(GraphDifferential, SpfBitIdenticalOnCsr) {
   wp.node_count = 80;
   const Graph g = waxman_graph(wp, rng);
 
-  // from_links replays the same links bulk-wise: same CSR, same trees.
-  const Graph bulk = Graph::from_links(
-      g.node_count(), std::vector<Link>(g.links().begin(), g.links().end()));
-  ASSERT_EQ(bulk.topology_version(), g.topology_version());
+  // A graph built again from the same link list: same CSR, same trees.
+  const Graph bulk(g.node_count(),
+                   std::vector<Link>(g.links().begin(), g.links().end()));
 
   for (NodeId src = 0; src < g.node_count(); src += 7) {
     const ShortestPathTree a = dijkstra(g, src);
@@ -117,8 +100,8 @@ TEST(GraphDifferential, OracleCountersUnchangedByBulkConstruction) {
   WaxmanParams wp;
   wp.node_count = 40;
   const Graph g = waxman_graph(wp, rng);
-  const Graph bulk = Graph::from_links(
-      g.node_count(), std::vector<Link>(g.links().begin(), g.links().end()));
+  const Graph bulk(g.node_count(),
+                   std::vector<Link>(g.links().begin(), g.links().end()));
 
   RoutingOracle incremental_oracle(g);
   RoutingOracle bulk_oracle(bulk);
@@ -139,49 +122,46 @@ TEST(GraphDifferential, OracleCountersUnchangedByBulkConstruction) {
 }
 
 TEST(GraphDifferential, FromLinksValidatesLikeAddLink) {
-  const std::vector<Link> ok{{0, 1, 1.0}, {1, 2, 2.0}};
-  const Graph g = Graph::from_links(3, ok);
+  const Graph g(3, {{0, 1, 1.0}, {1, 2, 2.0}});
   EXPECT_EQ(g.link_count(), 2);
   EXPECT_EQ(g.link_between(1, 0), std::optional<LinkId>{0});
 
-  EXPECT_THROW(Graph::from_links(3, std::vector<Link>{{0, 3, 1.0}}),
-               std::out_of_range);
-  EXPECT_THROW(Graph::from_links(3, std::vector<Link>{{1, 1, 1.0}}),
-               std::invalid_argument);
-  EXPECT_THROW(Graph::from_links(3, std::vector<Link>{{0, 1, 0.0}}),
-               std::invalid_argument);
-  EXPECT_THROW(
-      Graph::from_links(3, std::vector<Link>{{0, 1, 1.0}, {1, 0, 2.0}}),
-      std::invalid_argument);
+  EXPECT_THROW(Graph(3, {{0, 3, 1.0}}), std::out_of_range);
+  EXPECT_THROW(Graph(3, {{1, 1, 1.0}}), std::invalid_argument);
+  EXPECT_THROW(Graph(3, {{0, 1, 0.0}}), std::invalid_argument);
+  EXPECT_THROW(Graph(3, {{0, 1, 1.0}, {1, 0, 2.0}}), std::invalid_argument);
+  EXPECT_THROW(Graph(-1, {}), std::invalid_argument);
 }
 
 // -- Satellite: duplicate-check complexity regression -----------------------
 //
-// The legacy add_link ran link_between — a linear adjacency scan — per
-// insertion, so hub-heavy construction cost O(Σ deg²) comparisons. The
-// hashed check spends exactly one probe per insertion; this is the
-// operation-count (not wall-clock) regression gate for bulk construction.
+// Checking each new link with link_between — a linear adjacency scan —
+// made hub-heavy construction cost O(Σ deg²) comparisons. The
+// constructor's check spends exactly one comparison per link; this is the
+// operation-count (not wall-clock) regression gate for construction.
 
 TEST(GraphDuplicateCheck, OneProbePerInsertionOnHubGraphs) {
   constexpr int kSpokes = 50'000;
-  Graph g(kSpokes + 1);
+  std::vector<Link> links;
   for (NodeId spoke = 1; spoke <= kSpokes; ++spoke) {
-    g.add_link(0, spoke, 1.0);
+    links.push_back(Link{0, spoke, 1.0});
   }
-  // Legacy would have spent ~kSpokes²/2 comparisons on the hub scan.
+  const Graph g(kSpokes + 1, std::move(links));
+  // A per-link scan would have spent ~kSpokes²/2 comparisons on the hub.
   EXPECT_EQ(g.duplicate_check_ops(),
             static_cast<std::uint64_t>(g.link_count()));
   EXPECT_EQ(g.degree(0), kSpokes);
 }
 
 TEST(GraphDuplicateCheck, BulkPathCountsIdentically) {
+  // The same count with the hub listed second in every link.
   std::vector<Link> links;
   constexpr int kSpokes = 10'000;
   links.reserve(kSpokes);
   for (NodeId spoke = 1; spoke <= kSpokes; ++spoke) {
-    links.push_back(Link{0, spoke, 1.0});
+    links.push_back(Link{spoke, 0, 1.0});
   }
-  const Graph g = Graph::from_links(kSpokes + 1, links);
+  const Graph g(kSpokes + 1, std::move(links));
   EXPECT_EQ(g.duplicate_check_ops(),
             static_cast<std::uint64_t>(g.link_count()));
 }
@@ -189,10 +169,7 @@ TEST(GraphDuplicateCheck, BulkPathCountsIdentically) {
 // -- Satellite: reachable_count_from / connectivity contract ----------------
 
 TEST(GraphComponents, ReachableCountReturnsTheCount) {
-  Graph g(5);
-  g.add_link(0, 1, 1.0);
-  g.add_link(1, 2, 1.0);
-  g.add_link(3, 4, 1.0);
+  const Graph g(5, {{0, 1, 1.0}, {1, 2, 1.0}, {3, 4, 1.0}});
   EXPECT_EQ(g.reachable_count_from(0), 3);
   EXPECT_EQ(g.reachable_count_from(2), 3);
   EXPECT_EQ(g.reachable_count_from(3), 2);
@@ -202,8 +179,7 @@ TEST(GraphComponents, ReachableCountReturnsTheCount) {
 }
 
 TEST(GraphComponents, ReachableCountValidatesItsArguments) {
-  Graph g(2);
-  g.add_link(0, 1, 1.0);
+  const Graph g(2, {{0, 1, 1.0}});
   EXPECT_THROW((void)g.reachable_count_from(-1), std::out_of_range);
   EXPECT_THROW((void)g.reachable_count_from(2), std::out_of_range);
   EXPECT_THROW((void)g.reachable_count_from(0, 5), std::invalid_argument);
@@ -212,12 +188,9 @@ TEST(GraphComponents, ReachableCountValidatesItsArguments) {
 }
 
 TEST(GraphComponents, ComponentCountMachinery) {
-  Graph g(6);
-  g.add_link(0, 1, 1.0);
-  g.add_link(2, 3, 1.0);
-  EXPECT_EQ(g.component_count(), 4);  // {0,1} {2,3} {4} {5}
-  g.add_link(1, 2, 1.0);
-  g.add_link(4, 5, 1.0);
+  const Graph pairs(6, {{0, 1, 1.0}, {2, 3, 1.0}});
+  EXPECT_EQ(pairs.component_count(), 4);  // {0,1} {2,3} {4} {5}
+  const Graph g(6, {{0, 1, 1.0}, {2, 3, 1.0}, {1, 2, 1.0}, {4, 5, 1.0}});
   EXPECT_EQ(g.component_count(), 2);
   const LinkId bridge = g.link_between(1, 2).value();
   EXPECT_EQ(g.component_count(bridge), 3);
@@ -228,8 +201,8 @@ TEST(GraphComponents, ConnectedHandlesDegenerateGraphs) {
   // The legacy implementation silently pivoted on node 0; the component
   // machinery has no pivot, so empty and single-node graphs are exact.
   EXPECT_TRUE(Graph{}.connected());
-  EXPECT_TRUE(Graph(1).connected());
-  EXPECT_FALSE(Graph(2).connected());
+  EXPECT_TRUE(Graph(1, {}).connected());
+  EXPECT_FALSE(Graph(2, {}).connected());
   EXPECT_TRUE(Graph{}.connected_without(kNoLink));
 }
 

@@ -1,4 +1,4 @@
-// RoutingOracle: caching/versioning semantics, counter invariants, and the
+// RoutingOracle: caching semantics, counter invariants, and the
 // load-bearing property that every cached tree is bit-identical to a fresh
 // Dijkstra run.
 #include "net/routing_oracle.hpp"
@@ -76,25 +76,6 @@ TEST(RoutingOracle, ExclusionLookupsKeyOnTheBanSet) {
   const RoutingOracle::TreePtr again = oracle.spf(Fig1Topology::S, same);
   EXPECT_EQ(constrained.get(), again.get());
   EXPECT_EQ(oracle.stats().cache_hits, before.cache_hits + 1);
-}
-
-TEST(RoutingOracle, TopologyChangeInvalidatesTheCache) {
-  Fig1Topology fig;
-  RoutingOracle oracle(fig.graph);
-  const RoutingOracle::TreePtr before = oracle.spf(Fig1Topology::S);
-  EXPECT_DOUBLE_EQ(before->dist[Fig1Topology::D], 2.0);  // S–A–D
-
-  fig.graph.set_link_weight(fig.AD, 10.0);
-  const RoutingOracle::TreePtr after = oracle.spf(Fig1Topology::S);
-  EXPECT_NE(before.get(), after.get());
-  expect_identical(*after, dijkstra(fig.graph, Fig1Topology::S));
-  EXPECT_DOUBLE_EQ(after->dist[Fig1Topology::D], 3.0);  // S–B–D now wins
-
-  // The old snapshot is still intact (callers may hold it across bumps).
-  EXPECT_DOUBLE_EQ(before->dist[Fig1Topology::D], 2.0);
-  const auto s = oracle.stats();
-  EXPECT_EQ(s.invalidations, 1u);
-  EXPECT_EQ(s.cache_misses, 2u);
 }
 
 TEST(RoutingOracle, EvictionKeepsResultsCorrect) {
@@ -321,8 +302,7 @@ TEST(DetourSearch, EarlyExitMatchesFullSearchAcrossGrowth) {
 // region was never looked at, so the search cannot rank it.
 TEST(DetourSearch, AddTargetsRejectsUncoveredNodes) {
   // Path 0 – 1 – 2 – 3 – 4: every link is a bridge.
-  Graph g(5);
-  for (NodeId n = 0; n + 1 < 5; ++n) g.add_link(n, n + 1, 1.0);
+  const Graph g(5, {{0, 1, 1.0}, {1, 2, 1.0}, {2, 3, 1.0}, {3, 4, 1.0}});
   DijkstraWorkspace workspace;
   std::vector<char> targets(5, 0);
   targets[0] = 1;
@@ -486,24 +466,15 @@ TEST(RoutingOracle, SnapshotGaugesTrackResidentTrees) {
             static_cast<double>(oracle.snapshot_count()));
   EXPECT_EQ(m.gauge("smrp.routing.snapshot_bytes").value(),
             static_cast<double>(oracle.snapshot_bytes()));
-
-  // A topology change flushes the whole cache on the next probe, which
-  // then installs the one recomputed snapshot.
-  fig.graph.set_link_weight(fig.AD, 10.0);
-  (void)oracle.spf(Fig1Topology::S);
-  EXPECT_EQ(oracle.snapshot_count(), 1u);
-  EXPECT_EQ(m.gauge("smrp.routing.snapshot_count").value(), 1.0);
-  EXPECT_EQ(m.gauge("smrp.routing.snapshot_bytes").value(),
-            static_cast<double>(oracle.snapshot_bytes()));
 }
 
 // ---------------------------------------------------------------------------
 // Randomized oracle-vs-fresh equivalence property: a long random mix of
-// plain lookups, exclusion lookups, persistent-failure chains, and topology
-// mutations must stay bit-identical to free Dijkstra.
+// plain lookups, exclusion lookups and persistent-failure chains must stay
+// bit-identical to free Dijkstra.
 // ---------------------------------------------------------------------------
 
-void run_equivalence_property(Graph& g, std::uint64_t seed, int steps) {
+void run_equivalence_property(const Graph& g, std::uint64_t seed, int steps) {
   net::Rng rng(seed);
   RoutingOracle oracle(g);
   ExclusionSet chain(g);  // grows like a persistent-failure sequence
@@ -512,7 +483,7 @@ void run_equivalence_property(Graph& g, std::uint64_t seed, int steps) {
     const NodeId source =
         static_cast<NodeId>(rng.below(static_cast<std::uint64_t>(
             g.node_count())));
-    switch (rng.below(6)) {
+    switch (rng.below(5)) {
       case 0: {  // plain lookup
         expect_identical(*oracle.spf(source), dijkstra(g, source));
         break;
@@ -556,14 +527,6 @@ void run_equivalence_property(Graph& g, std::uint64_t seed, int steps) {
         expect_identical(*oracle.spf(source), dijkstra(g, source));
         break;
       }
-      case 5: {  // topology mutation: reweigh a random link
-        const LinkId l = static_cast<LinkId>(rng.below(
-            static_cast<std::uint64_t>(g.link_count())));
-        g.set_link_weight(l, 0.5 + 0.001 * static_cast<double>(rng.below(1000)));
-        chain = ExclusionSet(g);  // old chain semantics died with the weights
-        expect_identical(*oracle.spf(source), dijkstra(g, source));
-        break;
-      }
     }
   }
   expect_counter_invariants(oracle.stats());
@@ -574,7 +537,7 @@ TEST(RoutingOracleProperty, EquivalentToFreshDijkstraOnWaxman) {
   net::Rng rng(101);
   WaxmanParams wax;
   wax.node_count = 70;
-  Graph g = waxman_graph(wax, rng);
+  const Graph g = waxman_graph(wax, rng);
   run_equivalence_property(g, 2026, 160);
 }
 
@@ -584,7 +547,7 @@ TEST(RoutingOracleProperty, EquivalentToFreshDijkstraOnTransitStub) {
   params.transit_nodes = 6;
   params.stubs_per_transit = 2;
   params.stub_size = 5;
-  TransitStubTopology topo = generate_transit_stub(params, rng);
+  const TransitStubTopology topo = generate_transit_stub(params, rng);
   run_equivalence_property(topo.graph, 404, 160);
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "net/routing_oracle.hpp"
 #include "net/waxman.hpp"
 #include "testing_topologies.hpp"
@@ -48,8 +51,7 @@ TEST(Dijkstra, RespectsWeights) {
 }
 
 TEST(Dijkstra, UnreachableNodesReportInfinity) {
-  Graph g(3);
-  g.add_link(0, 1, 1.0);
+  const Graph g(3, {{0, 1, 1.0}});
   const ShortestPathTree t = dijkstra(g, 0);
   EXPECT_FALSE(t.reachable(2));
   EXPECT_EQ(t.dist[2], kInfinity);
@@ -162,10 +164,7 @@ TEST(ExclusionSet, BannedIdListsAreSortedAscending) {
 TEST(DijkstraAbsorbing, AbsorbingNodesDoNotRelay) {
   // 0 –1– 1 –1– 2, plus a long direct 0–2 of weight 10: with 1 absorbing,
   // node 2 must be reached via the direct link.
-  Graph g(3);
-  g.add_link(0, 1, 1.0);
-  g.add_link(1, 2, 1.0);
-  g.add_link(0, 2, 10.0);
+  const Graph g(3, {{0, 1, 1.0}, {1, 2, 1.0}, {0, 2, 10.0}});
   std::vector<char> absorbing{0, 1, 0};
   const ShortestPathTree t = dijkstra_absorbing(g, 0, absorbing);
   EXPECT_DOUBLE_EQ(t.dist[1], 1.0);   // reachable as a destination
@@ -190,12 +189,8 @@ TEST(DijkstraAbsorbing, AbsorbingSourceThrows) {
 TEST(DijkstraTieBreak, EqualCostPrefersFewerHops) {
   // Diamond: 0–1–3 and 0–2–3 both cost 2.0; a direct 0–3 link also costs
   // 2.0 but takes one hop. The tie-break must settle on the direct link.
-  Graph g(4);
-  g.add_link(0, 1, 1.0);
-  g.add_link(1, 3, 1.0);
-  g.add_link(0, 2, 1.0);
-  g.add_link(2, 3, 1.0);
-  g.add_link(0, 3, 2.0);
+  const Graph g(
+      4, {{0, 1, 1.0}, {1, 3, 1.0}, {0, 2, 1.0}, {2, 3, 1.0}, {0, 3, 2.0}});
   const ShortestPathTree t = dijkstra(g, 0);
   EXPECT_DOUBLE_EQ(t.dist[3], 2.0);
   EXPECT_EQ(t.hops[3], 1);
@@ -208,18 +203,11 @@ TEST(DijkstraTieBreak, EqualCostEqualHopsPrefersLowestPredecessor) {
   // independent of link insertion order, and never disturbs the source's
   // kNoNode parent sentinel.
   for (const bool reversed : {false, true}) {
-    Graph g(4);
-    if (reversed) {
-      g.add_link(0, 2, 1.0);
-      g.add_link(2, 3, 1.0);
-      g.add_link(0, 1, 1.0);
-      g.add_link(1, 3, 1.0);
-    } else {
-      g.add_link(0, 1, 1.0);
-      g.add_link(1, 3, 1.0);
-      g.add_link(0, 2, 1.0);
-      g.add_link(2, 3, 1.0);
-    }
+    const std::vector<Link> via_1_first{
+        {0, 1, 1.0}, {1, 3, 1.0}, {0, 2, 1.0}, {2, 3, 1.0}};
+    const std::vector<Link> via_2_first{
+        {0, 2, 1.0}, {2, 3, 1.0}, {0, 1, 1.0}, {1, 3, 1.0}};
+    const Graph g(4, reversed ? via_2_first : via_1_first);
     const ShortestPathTree t = dijkstra(g, 0);
     EXPECT_DOUBLE_EQ(t.dist[3], 2.0);
     EXPECT_EQ(t.hops[3], 2);
@@ -232,18 +220,19 @@ TEST(DijkstraTieBreak, EqualCostEqualHopsPrefersLowestPredecessor) {
 TEST(DijkstraTieBreak, LadderOfDiamondsIsStableEndToEnd) {
   // Chain three equal-weight diamonds; every stage must resolve to the
   // lower-id middle node so the full path is reproducible.
-  Graph g(10);
+  std::vector<Link> links;
   NodeId entry = 0;
   for (int stage = 0; stage < 3; ++stage) {
     const NodeId lo = static_cast<NodeId>(3 * stage + 1);
     const NodeId hi = static_cast<NodeId>(3 * stage + 2);
     const NodeId exit = static_cast<NodeId>(3 * stage + 3);
-    g.add_link(entry, hi, 1.0);
-    g.add_link(hi, exit, 1.0);
-    g.add_link(entry, lo, 1.0);
-    g.add_link(lo, exit, 1.0);
+    links.push_back({entry, hi, 1.0});
+    links.push_back({hi, exit, 1.0});
+    links.push_back({entry, lo, 1.0});
+    links.push_back({lo, exit, 1.0});
     entry = exit;
   }
+  const Graph g(10, std::move(links));
   const ShortestPathTree t = dijkstra(g, 0);
   EXPECT_EQ(t.path_from_source(9), (std::vector<NodeId>{0, 1, 3, 4, 6, 7, 9}));
 }

@@ -178,13 +178,44 @@ TEST(ExpectOffline, RejectsMalformedInputWithLineNumbers) {
   expect_error(meta + span_with("2", "0", "1") + span_with("3", "0.5", "1"),
                "line 3: parent 0.5 is not an integer");
   expect_error(meta + span_with("2", "0", "nan"),
-               "line 2: node nan is not an integer");
+               "line 2: bad number for \"node\"");
   // The same shapes with in-range integers replay cleanly.
   std::istringstream good(meta + span_with("2", "0", "1") +
                           R"({"type":"event","kind":"deliver","node":1,)"
                           R"("t":1,"seq":1})"
                           "\n");
   EXPECT_EQ(check_stream(good, rules).runs.size(), 1u);
+}
+
+TEST(ExpectOffline, RejectsDuplicateKeysAndNonJsonNumbers) {
+  // The replay reads lines with trace_report's strict grammar: a repeated
+  // key is not resolved to either of its values, and nan, inf and hex are
+  // no JSON numbers.
+  RuleSet rules;
+  rules.require_status("a", "outage", {"ok"});
+  const auto expect_error = [&](const std::string& record,
+                                const std::string& needle) {
+    std::istringstream in(R"({"type":"meta","version":1,"run":"r"})"
+                          "\n" +
+                          record + "\n");
+    try {
+      (void)check_stream(in, rules);
+      FAIL() << "expected a parse error for: " << record;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_error(R"({"type":"span","id":2,"parent":0,"kind":"outage","node":1,)"
+               R"("node":3,"start":0,"end":1,"status":"ok"})",
+               "line 2: duplicate key \"node\"");
+  for (const std::string t : {"nan", "inf", "-nan", "+1"}) {
+    expect_error(R"({"type":"event","kind":"deliver","node":1,"t":)" + t +
+                     R"(,"seq":1})",
+                 "line 2: bad number for \"t\"");
+  }
+  expect_error(R"({"type":"event","kind":"deliver","node":1,"t":0x10})",
+               "line 2: expected ','");
 }
 
 TEST(ExpectOffline, CheckFileThrowsOnMissingFile) {

@@ -10,7 +10,7 @@
 // event log's: a payload event costs its bytes in a shared block, not a
 // heap object of its own. A grown tree's leave/graft cycle allocates
 // nothing: a mutation touches its path, not the whole tree. Building a
-// graph allocates per growth step, not per link.
+// graph allocates per array and growth step, not per link.
 // Under ASan/TSan the allocator is the sanitizer's, so the raw counter
 // assertions are skipped there and the pool-stats invariants (no slab
 // growth, no SBO overflow) carry the test instead.
@@ -20,6 +20,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "multicast/tree.hpp"
@@ -47,7 +48,12 @@ std::atomic<std::uint64_t> g_allocated_bytes{0};
 
 #if SMRP_ALLOC_HOOK_ACTIVE
 
-void* operator new(std::size_t size) {
+// The allocating and the freeing replacements are all out of line, so
+// once the others are inlined, a pointer still comes from operator new and
+// goes to operator delete, never from the malloc() inside the one to the
+// free() inside the other (GCC's -Wmismatched-new-delete flags either
+// mixed pairing at -O3).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
@@ -56,7 +62,8 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     const std::nothrow_t&) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   return std::malloc(size ? size : 1);
@@ -66,9 +73,6 @@ void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
   return ::operator new(size, tag);
 }
 
-// Out of line, so a new-expression's cleanup path pairs the counting
-// operator new with operator delete, not with the free() inside it (GCC's
-// -Wmismatched-new-delete would flag the latter).
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { ::operator delete(p); }
 void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
@@ -169,18 +173,18 @@ TEST(AllocHook, MessageDispatchAndBroadcastAllocateNothing) {
 
 TEST(AllocHook, SessionTreeAllocatesForItsTreeNotTheGraph) {
   // A 1,000,000-node graph with one 10-hop chain from the source. The
-  // graph's own storage (and its lazy adjacency build) is paid before the
-  // measured window; inside it, a session tree and a 10-hop graft must
-  // cost a few records and index cells, not per-graph-node arrays
-  // (≈29 MB at this size).
+  // graph's own storage is paid before the measured window; inside it, a
+  // session tree and a 10-hop graft must cost a few records and index
+  // cells, not per-graph-node arrays (≈29 MB at this size).
   constexpr NodeId kNodes = 1'000'000;
   constexpr NodeId kHops = 10;
-  net::Graph graph(kNodes);
+  std::vector<net::Link> links;
   std::vector<net::LinkId> path;  // kHops → … → 0
   for (NodeId n = kHops; n > 0; --n) {
-    path.push_back(graph.add_link(n - 1, n, 1.0));
+    path.push_back(static_cast<net::LinkId>(links.size()));
+    links.push_back({n - 1, n, 1.0});
   }
-  (void)graph.neighbors(0);
+  const net::Graph graph(kNodes, std::move(links));
 
   const std::uint64_t before = allocated_bytes();
   {
@@ -191,6 +195,7 @@ TEST(AllocHook, SessionTreeAllocatesForItsTreeNotTheGraph) {
   }
   const std::uint64_t after = allocated_bytes();
 #if SMRP_ALLOC_HOOK_ACTIVE
+  EXPECT_GT(after - before, 0u) << "the hook counted no byte";
   EXPECT_LT(after - before, 16u * 1024u)
       << "a session tree allocated for the whole graph";
 #else
@@ -205,13 +210,15 @@ TEST(AllocHook, TreeMutationsDoNotWalkTheTree) {
   // the free list, so neither may allocate — nor walk the other 2,999
   // leaves with a scratch stack as wide as the tree.
   constexpr NodeId kLeaves = 3'000;
-  net::Graph graph(kLeaves + 1);
-  // Leaf n's graft is its one spoke link, prepared before the window.
+  // Leaf n's graft is its one spoke link n - 1, prepared before the window.
+  std::vector<net::Link> links;
   std::vector<std::array<net::LinkId, 1>> spokes;
   spokes.reserve(kLeaves);
   for (NodeId n = 1; n <= kLeaves; ++n) {
-    spokes.push_back({graph.add_link(n, 0, 1.0)});
+    spokes.push_back({static_cast<net::LinkId>(links.size())});
+    links.push_back({n, 0, 1.0});
   }
+  const net::Graph graph(kLeaves + 1, std::move(links));
   mcast::MulticastTree tree(graph, 0);
   for (NodeId n = 1; n <= kLeaves; ++n) tree.graft(n, spokes[n - 1]);
 
@@ -235,25 +242,28 @@ TEST(AllocHook, TreeMutationsDoNotWalkTheTree) {
 }
 
 TEST(AllocHook, GraphBuildAllocatesPerGrowthNotPerLink) {
-  // 100,000 links on 20,000 nodes (each node to its next five), then the
-  // first read. Duplicate checks probe one flat key table that grows by
-  // doubling and is released by that read, so the build allocates per
-  // growth step of the link list and the table plus the CSR arrays, not
-  // once per link as a node-based hash index does.
+  // 100,000 links on 20,000 nodes (each node to its next five). The
+  // constructor sizes its CSR arrays once, checks duplicates against one
+  // node-sized stamp array and grows the bridge tree's DFS stacks by
+  // doubling, so it allocates per array and growth step, not once per
+  // link as a node-based hash index does.
   constexpr NodeId kNodes = 20'000;
   constexpr int kSpan = 5;
-  net::Graph graph(kNodes);
+  std::vector<net::Link> links;
+  for (NodeId n = 0; n < kNodes; ++n) {
+    for (int k = 1; k <= kSpan; ++k) {
+      links.push_back({n, (n + k) % kNodes, 1.0});
+    }
+  }
 
   const std::uint64_t before = allocation_count();
-  for (NodeId n = 0; n < kNodes; ++n) {
-    for (int k = 1; k <= kSpan; ++k) graph.add_link(n, (n + k) % kNodes, 1.0);
-  }
-  (void)graph.neighbors(0);
+  const net::Graph graph(kNodes, std::move(links));
   const std::uint64_t after = allocation_count();
 
   EXPECT_EQ(graph.link_count(), kNodes * kSpan);
   EXPECT_EQ(graph.degree(0), 2 * kSpan);
 #if SMRP_ALLOC_HOOK_ACTIVE
+  EXPECT_GT(after - before, 0u) << "the hook counted no allocation";
   EXPECT_LT(after - before, 100u) << "the graph build allocated per link";
 #else
   (void)before;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "sim/fault_injection.hpp"
 #include "smrp/harness.hpp"
@@ -18,20 +19,9 @@
 namespace smrp::proto {
 namespace {
 
-constexpr std::uint64_t kSoakSeed = 20050628;  // DSN'05 publication date
+using testing::ring_graph;
 
-/// Unit-weight ring of `n` nodes. Sparse on purpose: when a tree link
-/// flaps, the only detour is the long way around — often farther than the
-/// ring-search budget — so the drill exercises the routed-join fallback
-/// and partition stranding, not just the easy local repairs a dense grid
-/// always offers.
-net::Graph soak_ring(int n) {
-  net::Graph g(n);
-  for (net::NodeId i = 0; i < n; ++i) {
-    g.add_link(i, (i + 1) % n, 1.0);
-  }
-  return g;
-}
+constexpr std::uint64_t kSoakSeed = 20050628;  // DSN'05 publication date
 
 struct SoakResult {
   InvariantReport quiescent;
@@ -43,7 +33,7 @@ struct SoakResult {
 /// Run the standard 50-fault soak: 47 link flaps + 2 node crash/restarts
 /// + 1 loss burst on a 12-node ring, members at 3/6/9, source at 0.
 SoakResult run_soak(bool legacy_repair, std::uint64_t seed = kSoakSeed) {
-  const net::Graph g = soak_ring(12);
+  const net::Graph g = ring_graph(12);
   const net::NodeId source = 0;
   const std::vector<net::NodeId> members{3, 6, 9};
 
@@ -149,7 +139,7 @@ TEST(ChaosSoak, OracleCountersBalanceThroughTheSoak) {
   // lookup is exactly one hit or one miss, every miss exactly one full
   // run) no matter what the fault plan
   // does to the topology underneath it.
-  const net::Graph g = soak_ring(12);
+  const net::Graph g = ring_graph(12);
   SessionConfig config;
   config.max_repair_ttl = 4;
   SimulationHarness h(g, 0, config);

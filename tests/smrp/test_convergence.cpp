@@ -16,19 +16,14 @@
 #include "sim/fault_injection.hpp"
 #include "smrp/harness.hpp"
 #include "smrp/invariants.hpp"
+#include "testing_topologies.hpp"
 
 namespace smrp::proto {
 namespace {
 
-constexpr std::uint64_t kSoakSeed = 20050628;  // DSN'05 publication date
+using testing::ring_graph;
 
-net::Graph soak_ring(int n) {
-  net::Graph g(n);
-  for (net::NodeId i = 0; i < n; ++i) {
-    g.add_link(i, (i + 1) % n, 1.0);
-  }
-  return g;
-}
+constexpr std::uint64_t kSoakSeed = 20050628;  // DSN'05 publication date
 
 const std::vector<net::NodeId> kMembers{3, 6, 9};
 
@@ -47,7 +42,7 @@ struct ProtocolDigest {
 /// given) is finished at end-of-run so spans are flushed for scanning.
 ProtocolDigest run_soak(const SessionConfig& config,
                         obs::Telemetry* telemetry) {
-  const net::Graph g = soak_ring(12);
+  const net::Graph g = ring_graph(12);
   SimulationHarness h(g, /*source=*/0, config);
   if (telemetry != nullptr) h.attach_telemetry(telemetry);
 
@@ -141,7 +136,7 @@ TEST(ConvergenceSoak, QuietSessionDeclaresTheFirstEpoch) {
   // No faults at all: once the joins settle, the wave reaches the source
   // and the first epoch is declared — detection is not outage-triggered,
   // it is a standing verdict over the refresh traffic.
-  const net::Graph g = soak_ring(12);
+  const net::Graph g = ring_graph(12);
   SimulationHarness h(g, /*source=*/0, soak_config());
   h.start();
   for (const net::NodeId m : kMembers) h.session().join(m);
@@ -157,7 +152,7 @@ TEST(ConvergenceSoak, AdaptiveTriggersSurviveTheSoak) {
   SessionConfig config = soak_config();
   config.adaptive_triggers = true;
 
-  const net::Graph g = soak_ring(12);
+  const net::Graph g = ring_graph(12);
   SimulationHarness h(g, /*source=*/0, config);
   sim::FaultPlan::RandomParams params;
   params.link_flaps = 47;

@@ -20,19 +20,14 @@
 #include "sim/fault_injection.hpp"
 #include "smrp/harness.hpp"
 #include "smrp/invariants.hpp"
+#include "testing_topologies.hpp"
 
 namespace smrp::proto {
 namespace {
 
-constexpr std::uint64_t kSoakSeed = 20050628;  // DSN'05 publication date
+using testing::ring_graph;
 
-net::Graph soak_ring(int n) {
-  net::Graph g(n);
-  for (net::NodeId i = 0; i < n; ++i) {
-    g.add_link(i, (i + 1) % n, 1.0);
-  }
-  return g;
-}
+constexpr std::uint64_t kSoakSeed = 20050628;  // DSN'05 publication date
 
 struct GateRun {
   obs::expect::ExpectReport report;  ///< online judgement
@@ -43,7 +38,7 @@ struct GateRun {
 /// The standard 50-fault soak with the core ruleset tapped online and the
 /// telemetry exported at end-of-run, under an arbitrary SessionConfig.
 GateRun run_gated_soak(const SessionConfig& config) {
-  const net::Graph g = soak_ring(12);
+  const net::Graph g = ring_graph(12);
   const net::NodeId source = 0;
   const std::vector<net::NodeId> members{3, 6, 9};
 

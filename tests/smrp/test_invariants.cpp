@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "sim/fault_injection.hpp"
 #include "smrp/harness.hpp"
@@ -17,16 +18,7 @@ namespace smrp::proto {
 namespace {
 
 using testing::Fig1Topology;
-
-/// Unit-weight ring of `n` nodes: the one topology where a local detour
-/// can be arbitrarily far away (the long way around the ring).
-net::Graph ring_graph(int n) {
-  net::Graph g(n);
-  for (net::NodeId i = 0; i < n; ++i) {
-    g.add_link(i, (i + 1) % n, 1.0);
-  }
-  return g;
-}
+using testing::ring_graph;
 
 TEST(InvariantChecker, SteadyStateAuditsClean) {
   const Fig1Topology fig;
@@ -353,7 +345,7 @@ TEST(ServiceRestorationBound, IsFiniteAndScalesWithTheConfig) {
   deeper.max_repair_ttl = config.max_repair_ttl * 4;
   EXPECT_GT(service_restoration_bound(deeper, routing, fig.graph), bound);
 
-  const net::Graph bigger(4 * fig.graph.node_count());
+  const net::Graph bigger(4 * fig.graph.node_count(), {});
   EXPECT_GT(service_restoration_bound(config, routing, bigger), bound);
 }
 

@@ -46,9 +46,8 @@ TEST(LocalDetour, UnaffectedMemberNeedsNoRecovery) {
 
 TEST(LocalDetour, FailsWhenFailureIsolatesMember) {
   // Chain 0–1–2: the only link into 2 is the tree link; no detour exists.
-  net::Graph g(3);
-  g.add_link(0, 1, 1.0);
-  const net::LinkId last = g.add_link(1, 2, 1.0);
+  const net::Graph g(3, {{0, 1, 1.0}, {1, 2, 1.0}});
+  const net::LinkId last = 1;
   mcast::MulticastTree tree(g, 0);
   tree.graft(2, net::path_links(g, {2, 1, 0}));
   const RecoveryOutcome out = local_detour_recovery(g, tree, 2, last);
@@ -57,9 +56,8 @@ TEST(LocalDetour, FailsWhenFailureIsolatesMember) {
 }
 
 TEST(GlobalDetour, FailsWhenFailureIsolatesMember) {
-  net::Graph g(3);
-  g.add_link(0, 1, 1.0);
-  const net::LinkId last = g.add_link(1, 2, 1.0);
+  const net::Graph g(3, {{0, 1, 1.0}, {1, 2, 1.0}});
+  const net::LinkId last = 1;
   mcast::MulticastTree tree(g, 0);
   tree.graft(2, net::path_links(g, {2, 1, 0}));
   EXPECT_FALSE(global_detour_recovery(g, tree, 2, last).recovered);

@@ -105,9 +105,8 @@ TEST(RepairSession, NodeFailureRepair) {
 
 TEST(RepairSession, CountsUnrecoverableMembers) {
   // Chain 0–1–2: cutting 1–2 strands member 2 permanently.
-  net::Graph g(3);
-  g.add_link(0, 1, 1.0);
-  const net::LinkId last = g.add_link(1, 2, 1.0);
+  const net::Graph g(3, {{0, 1, 1.0}, {1, 2, 1.0}});
+  const net::LinkId last = 1;
   mcast::MulticastTree tree(g, 0);
   tree.graft(2, net::path_links(g, {2, 1, 0}));
   const SessionRepairReport report =

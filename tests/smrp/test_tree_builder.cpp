@@ -26,8 +26,7 @@ TEST(SmrpTreeBuilder, JoinIsIdempotent) {
 }
 
 TEST(SmrpTreeBuilder, UnreachableMemberIsRefused) {
-  net::Graph g(3);
-  g.add_link(0, 1, 1.0);
+  const net::Graph g(3, {{0, 1, 1.0}});
   SmrpTreeBuilder builder(g, 0);
   EXPECT_FALSE(builder.join(2).joined);
   EXPECT_EQ(builder.tree().member_count(), 0);

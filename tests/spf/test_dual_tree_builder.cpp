@@ -36,9 +36,8 @@ TEST(DualTreeBuilder, ProtectedMemberSurvivesAnySingleCut) {
 
 TEST(DualTreeBuilder, UnprotectedOnBridgeTopology) {
   // Chain 0–1–2: no disjoint alternative exists.
-  net::Graph g(3);
-  g.add_link(0, 1, 1.0);
-  const net::LinkId bridge = g.add_link(1, 2, 1.0);
+  const net::Graph g(3, {{0, 1, 1.0}, {1, 2, 1.0}});
+  const net::LinkId bridge = 1;
   DualTreeBuilder dual(g, 0);
   ASSERT_TRUE(dual.join(2));
   EXPECT_FALSE(dual.is_protected(2));

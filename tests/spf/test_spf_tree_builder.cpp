@@ -56,8 +56,7 @@ TEST(SpfTreeBuilder, RelayBecomesMemberInPlace) {
 }
 
 TEST(SpfTreeBuilder, UnreachableMemberRefused) {
-  net::Graph g(3);
-  g.add_link(0, 1, 1.0);
+  const net::Graph g(3, {{0, 1, 1.0}});
   SpfTreeBuilder builder(g, 0);
   EXPECT_FALSE(builder.join(2));
 }

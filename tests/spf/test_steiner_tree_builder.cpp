@@ -87,8 +87,7 @@ TEST(SteinerTreeBuilder, SourceCannotJoin) {
 }
 
 TEST(SteinerTreeBuilder, UnreachableMemberRefused) {
-  net::Graph g(3);
-  g.add_link(0, 1, 1.0);
+  const net::Graph g(3, {{0, 1, 1.0}});
   SteinerTreeBuilder builder(g, 0);
   EXPECT_FALSE(builder.join(2));
 }

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "net/graph.hpp"
@@ -29,17 +30,15 @@ struct Fig1Topology {
   static constexpr NodeId C = 3;
   static constexpr NodeId D = 4;
 
-  Graph graph{5};
-  net::LinkId SA, SB, AC, AD, BD, CD;
+  // Link ids follow the list order.
+  static constexpr net::LinkId SA = 0, SB = 1, AC = 2, AD = 3, BD = 4, CD = 5;
 
-  Fig1Topology() {
-    SA = graph.add_link(S, A, 1.0);
-    SB = graph.add_link(S, B, 1.0);
-    AC = graph.add_link(A, C, 1.0);
-    AD = graph.add_link(A, D, 1.0);
-    BD = graph.add_link(B, D, 2.0);
-    CD = graph.add_link(C, D, 2.0);
-  }
+  Graph graph{5, {{S, A, 1.0},
+                  {S, B, 1.0},
+                  {A, C, 1.0},
+                  {A, D, 1.0},
+                  {B, D, 2.0},
+                  {C, D, 2.0}}};
 };
 
 /// Figure 4/5 topology (8 nodes). Weights are chosen so that the paper's
@@ -60,21 +59,20 @@ struct Fig4Topology {
   static constexpr NodeId F = 6;
   static constexpr NodeId G = 7;
 
-  Graph graph{8};
-  net::LinkId SA, AD, DE, DF, FG, GB, BS, AC, CE, FB;
+  // Link ids follow the list order.
+  static constexpr net::LinkId SA = 0, AD = 1, DE = 2, DF = 3, FG = 4,
+                               GB = 5, BS = 6, AC = 7, CE = 8, FB = 9;
 
-  Fig4Topology() {
-    SA = graph.add_link(S, A, 2.0);
-    AD = graph.add_link(A, D, 1.0);
-    DE = graph.add_link(D, E, 1.0);
-    DF = graph.add_link(D, F, 1.0);
-    FG = graph.add_link(F, G, 1.0);
-    GB = graph.add_link(G, B, 3.0);
-    BS = graph.add_link(B, S, 3.0);
-    AC = graph.add_link(A, C, 1.0);
-    CE = graph.add_link(C, E, 1.2);
-    FB = graph.add_link(F, B, 4.0);
-  }
+  Graph graph{8, {{S, A, 2.0},
+                  {A, D, 1.0},
+                  {D, E, 1.0},
+                  {D, F, 1.0},
+                  {F, G, 1.0},
+                  {G, B, 3.0},
+                  {B, S, 3.0},
+                  {A, C, 1.0},
+                  {C, E, 1.2},
+                  {F, B, 4.0}}};
 };
 
 /// A 3x3 grid with unit weights: predictable shortest paths for exercising
@@ -86,15 +84,26 @@ struct Fig4Topology {
 ///   |   |   |
 ///   6 - 7 - 8
 inline Graph grid3x3() {
-  Graph g(9);
+  std::vector<net::Link> links;
   for (int r = 0; r < 3; ++r) {
     for (int c = 0; c < 3; ++c) {
       const NodeId n = r * 3 + c;
-      if (c < 2) g.add_link(n, n + 1, 1.0);
-      if (r < 2) g.add_link(n, n + 3, 1.0);
+      if (c < 2) links.push_back({n, n + 1, 1.0});
+      if (r < 2) links.push_back({n, n + 3, 1.0});
     }
   }
-  return g;
+  return Graph(9, std::move(links));
+}
+
+/// Unit-weight ring of `n` nodes. Sparse on purpose: when a tree link
+/// fails, the only detour is the long way around, often farther than the
+/// ring-search budget, so the soak and invariant suites reach the
+/// routed-join fallback and partition stranding, not just the easy local
+/// repairs a dense grid always offers.
+inline Graph ring_graph(int n) {
+  std::vector<net::Link> links;
+  for (NodeId i = 0; i < n; ++i) links.push_back({i, (i + 1) % n, 1.0});
+  return Graph(n, std::move(links));
 }
 
 /// A random tree (each node hangs off a uniformly drawn earlier one) plus
@@ -102,12 +111,13 @@ inline Graph grid3x3() {
 /// great-grandparent: a few triangles and squares, and every other link a
 /// bridge. Weights are uniform in [1, 10).
 inline Graph tree_with_chords(int nodes, int chords, net::Rng& rng) {
-  Graph g(nodes);
+  std::vector<net::Link> links;
   std::vector<NodeId> parent(static_cast<std::size_t>(nodes), net::kNoNode);
   for (NodeId v = 1; v < nodes; ++v) {
     parent[static_cast<std::size_t>(v)] =
         static_cast<NodeId>(rng.below(static_cast<std::uint64_t>(v)));
-    g.add_link(v, parent[static_cast<std::size_t>(v)], rng.uniform(1.0, 10.0));
+    links.push_back(
+        {v, parent[static_cast<std::size_t>(v)], rng.uniform(1.0, 10.0)});
   }
   // A node's own chord is the only link between it and that ancestor.
   std::vector<char> has_chord(static_cast<std::size_t>(nodes), 0);
@@ -121,9 +131,9 @@ inline Graph tree_with_chords(int nodes, int chords, net::Rng& rng) {
     }
     if (up == net::kNoNode || has_chord[static_cast<std::size_t>(v)]) continue;
     has_chord[static_cast<std::size_t>(v)] = 1;
-    g.add_link(v, up, rng.uniform(1.0, 10.0));
+    links.push_back({v, up, rng.uniform(1.0, 10.0)});
   }
-  return g;
+  return Graph(nodes, std::move(links));
 }
 
 /// Bridge-rich graphs for the dead-end pruning tests (DESIGN.md §17),

@@ -22,7 +22,6 @@
 // so a schema drift in the exporter fails the build instead of silently
 // corrupting analyses.
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -30,166 +29,20 @@
 #include <limits>
 #include <map>
 #include <optional>
-#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "eval/table.hpp"
 #include "obs/expect/offline.hpp"
+#include "obs/jsonl.hpp"
 
 namespace {
 
 using smrp::eval::Table;
 
-/// One parsed JSONL line: flat string/number fields (the whole schema).
-struct LineObject {
-  std::map<std::string, std::string> strings;
-  std::map<std::string, double> numbers;
-
-  [[nodiscard]] const std::string* str(const std::string& key) const {
-    const auto it = strings.find(key);
-    return it != strings.end() ? &it->second : nullptr;
-  }
-  [[nodiscard]] std::optional<double> num(const std::string& key) const {
-    const auto it = numbers.find(key);
-    if (it == numbers.end()) return std::nullopt;
-    return it->second;
-  }
-};
-
-/// Strict parser for the exporter's subset of JSON: one object per line,
-/// string keys, string-or-number values, no nesting. Returns false with a
-/// diagnostic on anything else — unterminated strings, bad escapes,
-/// malformed numbers, duplicate keys, trailing garbage.
-class LineParser {
- public:
-  explicit LineParser(const std::string& line) : text_(line) {}
-
-  bool parse(LineObject& out, std::string& error) {
-    skip_space();
-    if (!consume('{')) return fail(error, "expected '{'");
-    skip_space();
-    if (consume('}')) return finish(error);
-    while (true) {
-      std::string key;
-      if (!parse_string(key, error)) return false;
-      skip_space();
-      if (!consume(':')) return fail(error, "expected ':' after key");
-      skip_space();
-      if (out.strings.count(key) != 0 || out.numbers.count(key) != 0) {
-        return fail(error, "duplicate key \"" + key + "\"");
-      }
-      if (peek() == '"') {
-        std::string value;
-        if (!parse_string(value, error)) return false;
-        out.strings.emplace(key, std::move(value));
-      } else {
-        double value = 0.0;
-        if (!parse_number(value, error)) return false;
-        out.numbers.emplace(key, value);
-      }
-      skip_space();
-      if (consume(',')) {
-        skip_space();
-        continue;
-      }
-      if (consume('}')) return finish(error);
-      return fail(error, "expected ',' or '}'");
-    }
-  }
-
- private:
-  [[nodiscard]] char peek() const {
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-  bool consume(char c) {
-    if (peek() != c) return false;
-    ++pos_;
-    return true;
-  }
-  void skip_space() {
-    while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\t')) {
-      ++pos_;
-    }
-  }
-  bool fail(std::string& error, const std::string& what) const {
-    error = what + " at column " + std::to_string(pos_ + 1);
-    return false;
-  }
-  bool finish(std::string& error) {
-    skip_space();
-    if (pos_ != text_.size()) return fail(error, "trailing characters");
-    return true;
-  }
-
-  bool parse_string(std::string& out, std::string& error) {
-    if (!consume('"')) return fail(error, "expected '\"'");
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return fail(error, "truncated \\u");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            if (!std::isxdigit(static_cast<unsigned char>(h))) {
-              return fail(error, "bad \\u escape");
-            }
-            code = code * 16 +
-                   static_cast<unsigned>(
-                       h <= '9' ? h - '0' : (h | 0x20) - 'a' + 10);
-          }
-          if (code > 0x7f) return fail(error, "non-ASCII \\u escape");
-          out += static_cast<char>(code);
-          break;
-        }
-        default:
-          return fail(error, std::string("bad escape '\\") + esc + "'");
-      }
-    }
-    return fail(error, "unterminated string");
-  }
-
-  bool parse_number(double& out, std::string& error) {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    if (consume('.')) {
-      while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    }
-    if (peek() == 'e' || peek() == 'E') {
-      ++pos_;
-      if (peek() == '+' || peek() == '-') ++pos_;
-      while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    }
-    if (pos_ == start) return fail(error, "expected a value");
-    try {
-      std::size_t used = 0;
-      out = std::stod(text_.substr(start, pos_ - start), &used);
-      if (used != pos_ - start) return fail(error, "malformed number");
-    } catch (const std::exception&) {
-      return fail(error, "malformed number");
-    }
-    return true;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+using smrp::obs::JsonlField;
+using Fields = std::vector<JsonlField>;
 
 struct SpanRow {
   std::uint64_t id = 0;
@@ -241,8 +94,15 @@ struct RunSection {
   std::exit(1);
 }
 
-double require_num(const LineObject& obj, const char* key, int line) {
-  const auto v = obj.num(key);
+/// The numeric field named `key`, or nullopt when it is absent or a string.
+std::optional<double> num(const Fields& obj, const char* key) {
+  const JsonlField* f = smrp::obs::find_field(obj, key);
+  if (f == nullptr || f->is_string) return std::nullopt;
+  return f->num;
+}
+
+double require_num(const Fields& obj, const char* key, int line) {
+  const auto v = num(obj, key);
   if (!v) malformed(line, std::string("missing numeric field \"") + key + "\"");
   return *v;
 }
@@ -263,17 +123,17 @@ T to_integer(double value, const char* key, int line) {
 }
 
 template <class T>
-T require_integer(const LineObject& obj, const char* key, int line) {
+T require_integer(const Fields& obj, const char* key, int line) {
   return to_integer<T>(require_num(obj, key, line), key, line);
 }
 
-const std::string& require_str(const LineObject& obj, const char* key,
+const std::string& require_str(const Fields& obj, const char* key,
                                int line) {
-  const std::string* v = obj.str(key);
-  if (v == nullptr) {
+  const JsonlField* f = smrp::obs::find_field(obj, key);
+  if (f == nullptr || !f->is_string) {
     malformed(line, std::string("missing string field \"") + key + "\"");
   }
-  return *v;
+  return f->str;
 }
 
 std::string ms(double v) { return Table::fixed(v, 1); }
@@ -433,9 +293,7 @@ void render_run(const RunSection& run, bool show_samples) {
                                   static_cast<double>(lookups),
                               1)
               << "% hit rate (" << hits << " hits, " << misses
-              << " misses, " << routing("cache_fallback")
-              << " full runs), " << routing("invalidations")
-              << " invalidations";
+              << " misses, " << routing("cache_fallback") << " full runs)";
     // Resident snapshot footprint, when the run carries the gauges.
     const auto count_it = run.gauges.find("smrp.routing.snapshot_count");
     const auto bytes_it = run.gauges.find("smrp.routing.snapshot_bytes");
@@ -532,10 +390,12 @@ int main(int argc, char** argv) {
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) malformed(line_no, "empty line");
-    LineObject obj;
-    std::string error;
-    LineParser parser(line);
-    if (!parser.parse(obj, error)) malformed(line_no, error);
+    Fields obj;
+    try {
+      obj = smrp::obs::parse_jsonl_line(line);
+    } catch (const std::invalid_argument& e) {
+      malformed(line_no, e.what());
+    }
     const std::string& type = require_str(obj, "type", line_no);
     if (type == "meta") {
       const double version = require_num(obj, "version", line_no);
@@ -547,11 +407,11 @@ int main(int argc, char** argv) {
       run.at = require_num(obj, "at", line_no);
       run.declared_spans =
           require_integer<std::uint64_t>(obj, "spans", line_no);
-      if (const auto events = obj.num("events")) {
+      if (const auto events = num(obj, "events")) {
         run.declared_events =
             to_integer<std::uint64_t>(*events, "events", line_no);
       }
-      if (const auto samples = obj.num("samples")) {
+      if (const auto samples = num(obj, "samples")) {
         run.declared_samples =
             to_integer<std::uint64_t>(*samples, "samples", line_no);
       }
@@ -573,12 +433,12 @@ int main(int argc, char** argv) {
       if (span.end + 1e-9 < span.start) {
         malformed(line_no, "span ends before it starts");
       }
-      for (const auto& [key, value] : obj.numbers) {
-        if (key == "id" || key == "parent" || key == "node" ||
-            key == "start" || key == "end") {
+      for (const JsonlField& f : obj) {
+        if (f.is_string || f.key == "id" || f.key == "parent" ||
+            f.key == "node" || f.key == "start" || f.key == "end") {
           continue;
         }
-        span.attrs.emplace(key, value);
+        span.attrs.emplace(f.key, f.num);
       }
       run.spans.push_back(std::move(span));
     } else if (type == "event") {
