@@ -186,6 +186,34 @@ void BM_OracleJoinSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleJoinSweep)->Arg(100)->Arg(200);
 
+// Cold misses (DESIGN.md §16, "Composed misses"): a fresh oracle warms 32
+// transit-core sources on the perf/ smrp_join graph (40 + 40×8×31 =
+// 9,960 nodes, the same seed), one thread, as that workload's set-up
+// does. Each iteration pays the one region-tree build plus 32 composed
+// misses; items are sources.
+void BM_OracleColdSources(benchmark::State& state) {
+  static const net::TransitStubTopology topo = [] {
+    net::Rng rng(0x5312b0a7d5ULL);
+    net::TransitStubParams p;
+    p.transit_nodes = 40;
+    p.stubs_per_transit = 8;
+    p.stub_size = 31;
+    return net::generate_transit_stub(p, rng);
+  }();
+  constexpr net::NodeId kSources = 32;
+  std::uint64_t composed = 0;
+  for (auto _ : state) {
+    net::RoutingOracle oracle(topo.graph);
+    for (net::NodeId s = 0; s < kSources; ++s) {
+      benchmark::DoNotOptimize(oracle.spf(s));
+    }
+    composed = oracle.stats().composed;
+  }
+  state.SetItemsProcessed(state.iterations() * kSources);
+  state.counters["composed"] = static_cast<double>(composed);
+}
+BENCHMARK(BM_OracleColdSources)->Unit(benchmark::kMillisecond);
+
 // ---------------------------------------------------------------------------
 // Shared-oracle hammers (DESIGN.md §16): K threads against ONE
 // RoutingOracle on a transit-stub topology — the run_seeded worker shape.

@@ -75,7 +75,6 @@ Graph::Graph(int node_count, std::vector<Link> links)
   for (NodeId u = 0; u < node_count; ++u) {
     for (const Adjacency& adj : neighbors(u)) {
       if (adj.neighbor < u) continue;
-      ++dup_check_ops_;
       NodeId& stamp = seen_from[static_cast<std::size_t>(adj.neighbor)];
       if (stamp == u) throw std::invalid_argument("parallel link rejected");
       stamp = u;

@@ -170,13 +170,6 @@ class Graph {
   }
   void set_positions(std::vector<Point> positions);
 
-  /// Comparisons the constructor spent on duplicate-link checks: one per
-  /// link, the operation count the complexity regression test pins (a
-  /// scan of an endpoint's row per link costs O(deg) each).
-  [[nodiscard]] std::uint64_t duplicate_check_ops() const noexcept {
-    return dup_check_ops_;
-  }
-
   /// Human-readable dump, for examples and debugging.
   [[nodiscard]] std::string to_string() const;
 
@@ -186,7 +179,6 @@ class Graph {
   int node_count_ = 0;
   std::vector<Link> links_;
   std::vector<Point> positions_;
-  std::uint64_t dup_check_ops_ = 0;
   /// CSR adjacency: node n's row is packed_[offsets_[n], offsets_[n + 1]).
   std::vector<std::size_t> offsets_;
   std::vector<Adjacency> packed_;

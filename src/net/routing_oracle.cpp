@@ -1,6 +1,7 @@
 #include "net/routing_oracle.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -117,8 +118,10 @@ RoutingOracle::TreePtr RoutingOracle::spf(NodeId source,
 
     // This thread won the key: compute outside the oracle's lock.
     TreePtr tree;
+    bool composed = false;
     try {
-      tree = full_run(source, excluded);
+      composed = excluded.empty() && composable(source);
+      tree = composed ? composed_run(source) : full_run(source, excluded);
     } catch (...) {
       {
         std::lock_guard<std::mutex> cell_lock(cell->mu);
@@ -141,6 +144,7 @@ RoutingOracle::TreePtr RoutingOracle::spf(NodeId source,
     cell->cv.notify_all();
     std::lock_guard<std::mutex> lock(mu_);
     count(stats_.full_runs, c_fallback_);
+    if (composed) ++stats_.composed;
     publish_locked(key, cell, tree);
     return tree;
   }
@@ -181,6 +185,151 @@ RoutingOracle::TreePtr RoutingOracle::full_run(NodeId source,
   const WorkspaceLease lease = workspace();
   auto fresh = std::make_shared<ShortestPathTree>();
   lease->run_into(*g_, source, excluded, *fresh);
+  return fresh;
+}
+
+bool RoutingOracle::Region::guard_holds(double entry_dist,
+                                        std::int32_t entry_hops) const noexcept {
+  // A sum along k links from the entry, shifted by the entry distance D,
+  // differs from D plus its region-local sum by at most about
+  // k·2^-53·(D + 2·M_R). Two compared sums move by twice that; a slack
+  // of four times the longest path's bound therefore keeps every winning
+  // relaxation winning and every sum strictly above its parent's. Exact
+  // ties (slack 0) never pass.
+  const double bound = 4.0 * static_cast<double>(max_hops + entry_hops + 1) *
+                       0x1p-53 * (entry_dist + 2.0 * max_dist);
+  return slack > bound;
+}
+
+bool RoutingOracle::composable(NodeId source) {
+  const BridgeTree& bt = g_->bridge_tree();
+  if (bt.parent[static_cast<std::size_t>(
+          bt.component[static_cast<std::size_t>(source)])] != -1) {
+    return false;
+  }
+  std::call_once(regions_once_, [this] { build_regions(); });
+  return !regions_.empty();
+}
+
+void RoutingOracle::build_regions() {
+  const Graph& g = *g_;
+  const BridgeTree& bt = g.bridge_tree();
+  const auto n = static_cast<std::size_t>(g.node_count());
+  // Regions are disjoint, so one node-sized scratch serves them all
+  // without a reset.
+  std::vector<double> dist(n, kInfinity);
+  std::vector<double> runner_up(n, kInfinity);  ///< best losing relaxation
+  std::vector<std::int32_t> hops(n, 0);
+  std::vector<NodeId> parent(n, kNoNode);
+  std::vector<LinkId> parent_link(n, kNoLink);
+  std::vector<char> settled(n, 0);
+  std::vector<std::pair<double, NodeId>> heap;
+  const auto heap_greater = std::greater<std::pair<double, NodeId>>{};
+  // Built aside and moved in whole, so a build that throws leaves nothing
+  // behind for the retry std::call_once allows.
+  std::vector<Region> regions;
+  std::vector<Step> steps;
+  std::size_t outside_roots = 0;
+  for (const std::int32_t c : bt.component) {
+    if (bt.parent[static_cast<std::size_t>(c)] != -1) ++outside_roots;
+  }
+  steps.reserve(outside_roots);
+
+  for (std::int32_t c = 0; c < bt.component_count(); ++c) {
+    const std::int32_t up = bt.parent[static_cast<std::size_t>(c)];
+    if (up == -1 || bt.parent[static_cast<std::size_t>(up)] != -1) continue;
+    const LinkId bridge = bt.parent_link[static_cast<std::size_t>(c)];
+    const Link& b = g.link(bridge);
+    const NodeId entry =
+        bt.component[static_cast<std::size_t>(b.a)] == c ? b.a : b.b;
+    const auto e = static_cast<std::size_t>(entry);
+    dist[e] = 0.0;
+    parent[e] = b.other(entry);
+    parent_link[e] = bridge;
+    heap.assign(1, {0.0, entry});
+
+    // Dijkstra from the entry with the bridge cut, so it labels exactly
+    // the region. Ties are broken by arrival only: a node whose winner is
+    // not strictly better than its runner-up gets slack 0, and a region
+    // with slack 0 is never copied, so no tie-break here is ever used.
+    Region region;
+    region.begin = steps.size();
+    while (!heap.empty()) {
+      const auto [d, u_id] = heap.front();
+      std::pop_heap(heap.begin(), heap.end(), heap_greater);
+      heap.pop_back();
+      const auto u = static_cast<std::size_t>(u_id);
+      if (settled[u]) continue;
+      settled[u] = 1;
+      steps.push_back(Step{u_id, parent[u], parent_link[u], hops[u],
+                           g.link(parent_link[u]).weight});
+      region.max_hops = std::max(region.max_hops, hops[u]);
+      region.max_dist = d;
+      region.slack = std::min(region.slack, runner_up[u] - d);
+      for (const Adjacency& adj : g.neighbors(u_id)) {
+        if (adj.link == bridge) continue;
+        const double w = g.link(adj.link).weight;
+        region.slack = std::min(region.slack, w);
+        const auto v = static_cast<std::size_t>(adj.neighbor);
+        if (settled[v]) continue;
+        const double candidate = d + w;
+        if (candidate < dist[v]) {
+          runner_up[v] = dist[v];
+          dist[v] = candidate;
+          hops[v] = hops[u] + 1;
+          parent[v] = u_id;
+          parent_link[v] = adj.link;
+          heap.emplace_back(candidate, adj.neighbor);
+          std::push_heap(heap.begin(), heap.end(), heap_greater);
+        } else {
+          runner_up[v] = std::min(runner_up[v], candidate);
+        }
+      }
+    }
+    region.end = steps.size();
+    regions.push_back(region);
+  }
+  regions_ = std::move(regions);
+  steps_ = std::move(steps);
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.region_builds;
+}
+
+RoutingOracle::TreePtr RoutingOracle::composed_run(NodeId source) {
+  const WorkspaceLease lease = workspace();
+  auto fresh = std::make_shared<ShortestPathTree>();
+  ShortestPathTree& out = *fresh;
+  // With only the source marked, the run skips every bridge down from
+  // the root component: it labels the core exactly as a full run does.
+  DeadEndMarks& core = lease->dead_end_marks(*g_);
+  core.mark(source);
+  lease->run_into(*g_, source, ExclusionSet{}, out, &core);
+
+  for (const Region& region : regions_) {
+    const Step& head = steps_[region.begin];
+    const auto gateway = static_cast<std::size_t>(head.parent);
+    if (out.dist[gateway] == kInfinity) continue;  // another connected part
+    // The entry's only link out of the region is the bridge, so a full
+    // run labels it from the gateway.
+    const double entry_dist = out.dist[gateway] + head.weight;
+    const std::int32_t entry_hops = out.hops[gateway] + 1;
+    if (!region.guard_holds(entry_dist, entry_hops)) {
+      lease->run_seeded_into(
+          *g_, head.node,
+          SeedLabel{entry_dist, entry_hops, head.parent, head.parent_link},
+          out);
+      continue;
+    }
+    for (std::size_t i = region.begin; i < region.end; ++i) {
+      const Step& step = steps_[i];
+      const auto v = static_cast<std::size_t>(step.node);
+      out.dist[v] = out.dist[static_cast<std::size_t>(step.parent)] +
+                    step.weight;
+      out.parent[v] = step.parent;
+      out.parent_link[v] = step.parent_link;
+      out.hops[v] = step.hops + entry_hops;
+    }
+  }
   return fresh;
 }
 

@@ -11,7 +11,11 @@
 //  * Plain SPF trees are cached per (source, exclusion signature) as
 //    shared immutable snapshots, at most kMaxEntries of them (LRU). The
 //    graph never changes (net/graph.hpp), so a snapshot stays exact for
-//    the oracle's lifetime. Every miss is one full Dijkstra run.
+//    the oracle's lifetime. A miss for a source in a root component of
+//    the bridge tree, with no exclusions, is composed: a core-only run
+//    plus the shared shortest-path trees of the regions that hang off the
+//    core by one bridge each (DESIGN.md §16, "Composed misses"). Every
+//    other miss is one full Dijkstra run. Both give the same bytes.
 //  * Tree-state-dependent searches (absorbing candidate enumeration,
 //    detour searches) are not cacheable; the oracle serves them from a
 //    pool of reusable DijkstraWorkspaces instead.
@@ -38,6 +42,7 @@
 #pragma once
 
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -59,12 +64,15 @@ class RoutingOracle {
 
   using TreePtr = std::shared_ptr<const ShortestPathTree>;
 
-  /// Counters mirrored to telemetry (smrp.routing.*). Invariants:
-  /// lookups == cache_hits + cache_misses and cache_misses == full_runs.
-  /// A lookup that waits on another thread's in-flight computation of the
-  /// same key counts as a hit (it was served a shared snapshot, not a
-  /// Dijkstra run), so full_runs never exceeds the number of distinct keys
-  /// computed — the dedup guarantee the scale bench reports.
+  /// Counters; lookups, cache_hits, cache_misses and full_runs are
+  /// mirrored to telemetry (smrp.routing.*). Invariants:
+  /// lookups == cache_hits + cache_misses and cache_misses == full_runs:
+  /// a composed miss computes the same whole snapshot a full run does,
+  /// and counts as one. A lookup that waits on another thread's in-flight
+  /// computation of the same key counts as a hit (it was served a shared
+  /// snapshot, not a Dijkstra run), so full_runs never exceeds the number
+  /// of distinct keys computed — the dedup guarantee the scale bench
+  /// reports.
   struct Stats {
     std::uint64_t lookups = 0;
     std::uint64_t cache_hits = 0;
@@ -72,7 +80,12 @@ class RoutingOracle {
     /// Always 0: no miss is repaired from another cached tree. Kept so
     /// the reports that print it keep their fields.
     std::uint64_t incremental_repairs = 0;
-    std::uint64_t full_runs = 0;  ///< misses, one full Dijkstra each
+    std::uint64_t full_runs = 0;  ///< misses, each one whole snapshot
+    /// Misses of full_runs served by composition instead of one full run.
+    std::uint64_t composed = 0;
+    /// 1 once the oracle has built its region trees (on the first
+    /// composable miss), else 0.
+    std::uint64_t region_builds = 0;
 
     /// Fold another oracle's (or run's) counters into this one — the one
     /// summation every stats consumer shares (multi-oracle benches, the
@@ -83,6 +96,8 @@ class RoutingOracle {
       cache_misses += other.cache_misses;
       incremental_repairs += other.incremental_repairs;
       full_runs += other.full_runs;
+      composed += other.composed;
+      region_builds += other.region_builds;
       return *this;
     }
   };
@@ -135,8 +150,9 @@ class RoutingOracle {
   /// Shortest-path tree from `source` over the whole graph / avoiding the
   /// banned components. Served from cache when (source, exclusion
   /// signature) was seen before and not evicted since, otherwise
-  /// computed by one full Dijkstra run; concurrent misses on the same key
-  /// are memoized (one computation, every caller shares the snapshot).
+  /// computed, by composition or by one full Dijkstra run, bit-identical
+  /// to dijkstra() either way; concurrent misses on the same key are
+  /// memoized (one computation, every caller shares the snapshot).
   /// Throws like dijkstra() on a bad or banned source. Safe to call from
   /// any number of threads.
   TreePtr spf(NodeId source);
@@ -192,9 +208,56 @@ class RoutingOracle {
   /// Entry's ban set equals the request's exactly.
   static bool entry_matches(const Entry& entry, const ExclusionSet& excluded);
 
+  /// A region: a bridge subtree directly below a root component of the
+  /// bridge tree. Its entry is the bridge's endpoint inside it, its
+  /// gateway the other endpoint. Its tree is one Dijkstra run from the
+  /// entry over the region alone, shared by every root-component source.
+  struct Region {
+    /// steps_[begin, end): the region's nodes in the settle order of its
+    /// tree, the entry first.
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    std::int32_t max_hops = 0;  ///< h_R: largest hop count from the entry
+    double max_dist = 0.0;      ///< M_R: largest distance from the entry
+    /// The smallest of every node's gap between its winning and its best
+    /// losing relaxation and of every link weight in the region: the
+    /// margin guard_holds() compares.
+    double slack = kInfinity;
+
+    /// The guard: whether a source whose run reaches the entry at
+    /// (`entry_dist`, `entry_hops`) may copy this tree. Only when no
+    /// rounding of the shifted sums can move a winner (DESIGN.md §16).
+    [[nodiscard]] bool guard_holds(double entry_dist,
+                                   std::int32_t entry_hops) const noexcept;
+  };
+
+  /// One node of a region tree. The entry's step holds the gateway and
+  /// the bridge, so a snapshot's label for every step's node is
+  /// dist[parent] + weight, in settle order, at hops + the entry's hops.
+  struct Step {
+    NodeId node = kNoNode;
+    NodeId parent = kNoNode;
+    LinkId parent_link = kNoLink;
+    std::int32_t hops = 0;  ///< from the entry
+    double weight = 0.0;    ///< of parent_link
+  };
+
   /// Full Dijkstra into a fresh snapshot, in a leased workspace (no
   /// oracle lock held).
   TreePtr full_run(NodeId source, const ExclusionSet& excluded);
+
+  /// True when a miss for `source` with no exclusions is served by
+  /// composed_run(): `source` lies in a root component of the bridge
+  /// tree and the graph has regions. Builds the region trees on its
+  /// first call that needs them; concurrent callers wait for that build.
+  bool composable(NodeId source);
+  /// The region trees and their guard data, in one Dijkstra run per
+  /// region (run once per oracle, by std::call_once).
+  void build_regions();
+  /// The snapshot of a composable source: a core-only run, then each
+  /// reachable region copied from its tree, or, when its guard fails,
+  /// run from its entry by a seeded run (no oracle lock held).
+  TreePtr composed_run(NodeId source);
 
   /// Must hold mu_. Install the winner's snapshot in its entry, unless a
   /// colliding key replaced the entry meanwhile, and evict
@@ -230,6 +293,11 @@ class RoutingOracle {
 
   std::mutex pool_mu_;
   std::vector<std::unique_ptr<DijkstraWorkspace>> workspace_pool_;
+
+  // Region trees: written once inside regions_once_, read-only after.
+  std::once_flag regions_once_;
+  std::vector<Region> regions_;
+  std::vector<Step> steps_;
 };
 
 /// Incrementally refreshed nearest-target detour search, the shared

@@ -88,21 +88,24 @@ NodeId DijkstraWorkspace::run_impl(const Graph& g, NodeId source,
                                    SearchBound bound,
                                    const DeadEndMarks* dead_ends,
                                    bool stop_at_absorbed,
+                                   const SeedLabel* seed,
                                    ShortestPathTree& tree) {
   if (!g.valid_node(source)) throw std::out_of_range("bad source node");
   if (excluded.node_banned(source)) {
     throw std::invalid_argument("source node is banned");
   }
 
-  // Undo the previous run. A run into tree_ recorded the nodes it
-  // labelled, so only those entries are reset (labelled_ ids index the
-  // arrays as they were sized for that run). A run into a caller-owned
-  // tree is a whole-tree search anyway, so it records nothing and its
-  // settled flags are cleared whole.
-  if (tree_dirty_) {
+  // Undo the previous run. A run into tree_ or a seeded run recorded the
+  // nodes it labelled, so only those settled flags, and for tree_ those
+  // labels, are reset (labelled_ ids index the arrays as they were sized
+  // for that run). A whole-tree run into a caller-owned tree is a
+  // whole-graph search anyway, so it records nothing and its settled
+  // flags are cleared whole.
+  if (listed_) {
     for (const NodeId v : labelled_) {
       const auto i = static_cast<std::size_t>(v);
       settled_[i] = 0;
+      if (!tree_dirty_) continue;
       tree_.dist[i] = kInfinity;
       tree_.parent[i] = kNoNode;
       tree_.parent_link[i] = kNoLink;
@@ -117,20 +120,33 @@ NodeId DijkstraWorkspace::run_impl(const Graph& g, NodeId source,
   const auto n = static_cast<std::size_t>(g.node_count());
   if (settled_.size() != n) settled_.assign(n, 0);
   tree_dirty_ = &tree == &tree_;
-  const bool record = tree_dirty_;
-  if (!tree_dirty_ || tree.dist.size() != n) {
-    tree.dist.assign(n, kInfinity);
-    tree.parent.assign(n, kNoNode);
-    tree.parent_link.assign(n, kNoLink);
-    tree.hops.assign(n, -1);
+  listed_ = tree_dirty_ || seed != nullptr;
+  const bool record = listed_;
+  const auto s = static_cast<std::size_t>(source);
+  if (seed == nullptr) {
+    if (!tree_dirty_ || tree.dist.size() != n) {
+      tree.dist.assign(n, kInfinity);
+      tree.parent.assign(n, kNoNode);
+      tree.parent_link.assign(n, kNoLink);
+      tree.hops.assign(n, -1);
+    }
+    tree.source = source;
+    tree.dist[s] = 0.0;
+    tree.hops[s] = 0;
+  } else {
+    // The seed's parent was settled before the source in the run this
+    // one continues, so the link back to it is never relaxed.
+    labelled_.push_back(seed->parent);
+    settled_[static_cast<std::size_t>(seed->parent)] = 1;
+    tree.dist[s] = seed->dist;
+    tree.hops[s] = seed->hops;
+    tree.parent[s] = seed->parent;
+    tree.parent_link[s] = seed->parent_link;
   }
-  tree.source = source;
 
   const auto heap_greater = std::greater<QueueEntry>{};
-  tree.dist[static_cast<std::size_t>(source)] = 0.0;
-  tree.hops[static_cast<std::size_t>(source)] = 0;
   if (record) labelled_.push_back(source);
-  heap_.emplace_back(0.0, source);
+  heap_.emplace_back(tree.dist[s], source);
 
   while (!heap_.empty()) {
     const QueueEntry top = heap_.front();
@@ -185,15 +201,20 @@ NodeId DijkstraWorkspace::run_impl(const Graph& g, NodeId source,
   return kNoNode;
 }
 
-void DijkstraWorkspace::check_absorbing(
-    const Graph& g, NodeId source, const std::vector<char>& absorbing,
-    const DeadEndMarks* dead_ends) const {
+void DijkstraWorkspace::check_absorbing(const Graph& g, NodeId source,
+                                        const std::vector<char>& absorbing,
+                                        const DeadEndMarks* dead_ends) {
   if (absorbing.size() != static_cast<std::size_t>(g.node_count())) {
     throw std::invalid_argument("absorbing flags sized incorrectly");
   }
   if (g.valid_node(source) && absorbing[static_cast<std::size_t>(source)]) {
     throw std::invalid_argument("source must not be absorbing");
   }
+  check_dead_ends(g, source, dead_ends);
+}
+
+void DijkstraWorkspace::check_dead_ends(const Graph& g, NodeId source,
+                                        const DeadEndMarks* dead_ends) {
   if (dead_ends != nullptr &&
       (dead_ends->graph() != &g || !g.valid_node(source) ||
        !dead_ends->covered(source))) {
@@ -204,7 +225,7 @@ void DijkstraWorkspace::check_absorbing(
 
 const ShortestPathTree& DijkstraWorkspace::run(const Graph& g, NodeId source,
                                                const ExclusionSet& excluded) {
-  run_impl(g, source, excluded, nullptr, {}, nullptr, false, tree_);
+  run_impl(g, source, excluded, nullptr, {}, nullptr, false, nullptr, tree_);
   return tree_;
 }
 
@@ -217,7 +238,8 @@ const ShortestPathTree& DijkstraWorkspace::run_absorbing(
       bound.potential->size() != static_cast<std::size_t>(g.node_count())) {
     throw std::invalid_argument("search potential sized incorrectly");
   }
-  run_impl(g, source, excluded, &absorbing, bound, dead_ends, false, tree_);
+  run_impl(g, source, excluded, &absorbing, bound, dead_ends, false, nullptr,
+           tree_);
   return tree_;
 }
 
@@ -225,13 +247,16 @@ NodeId DijkstraWorkspace::run_to_first_absorbed(
     const Graph& g, NodeId source, const std::vector<char>& absorbing,
     const ExclusionSet& excluded, const DeadEndMarks* dead_ends) {
   check_absorbing(g, source, absorbing, dead_ends);
-  return run_impl(g, source, excluded, &absorbing, {}, dead_ends, true, tree_);
+  return run_impl(g, source, excluded, &absorbing, {}, dead_ends, true,
+                  nullptr, tree_);
 }
 
 void DijkstraWorkspace::run_into(const Graph& g, NodeId source,
                                  const ExclusionSet& excluded,
-                                 ShortestPathTree& out) {
-  run_impl(g, source, excluded, nullptr, {}, nullptr, false, out);
+                                 ShortestPathTree& out,
+                                 const DeadEndMarks* dead_ends) {
+  check_dead_ends(g, source, dead_ends);
+  run_impl(g, source, excluded, nullptr, {}, dead_ends, false, nullptr, out);
 }
 
 void DijkstraWorkspace::run_absorbing_into(const Graph& g, NodeId source,
@@ -239,7 +264,18 @@ void DijkstraWorkspace::run_absorbing_into(const Graph& g, NodeId source,
                                            const ExclusionSet& excluded,
                                            ShortestPathTree& out) {
   check_absorbing(g, source, absorbing, nullptr);
-  run_impl(g, source, excluded, &absorbing, {}, nullptr, false, out);
+  run_impl(g, source, excluded, &absorbing, {}, nullptr, false, nullptr, out);
+}
+
+void DijkstraWorkspace::run_seeded_into(const Graph& g, NodeId source,
+                                        const SeedLabel& seed,
+                                        ShortestPathTree& out) {
+  if (out.dist.size() != static_cast<std::size_t>(g.node_count()) ||
+      &out == &tree_ || !g.valid_node(seed.parent) || seed.parent == source) {
+    throw std::invalid_argument(
+        "seeded run needs a caller-owned tree of the graph and a parent");
+  }
+  run_impl(g, source, ExclusionSet{}, nullptr, {}, nullptr, false, &seed, out);
 }
 
 std::vector<char>& DijkstraWorkspace::node_flags(NodeId node_count) {

@@ -151,9 +151,8 @@ struct SearchBound {
 /// its targets; a pruned search reaches exactly the covered() nodes.
 class DeadEndMarks {
  public:
-  /// Bind to `g`'s bridge tree (building it on first use) with no mark
-  /// set: the previous marks are undone by list, not by an O(components)
-  /// fill.
+  /// Bind to `g`'s bridge tree with no mark set: the previous marks are
+  /// undone by list, not by an O(components) fill.
   void reset(const Graph& g);
 
   /// Mark `n`: its component and every ancestor up to the first one
@@ -192,17 +191,28 @@ class DeadEndMarks {
   std::vector<std::int32_t> marked_;    ///< components to unmark on reset
 };
 
+/// The label a seeded run starts from (DijkstraWorkspace::run_seeded_into):
+/// its source's distance and hop count, and the settled node and link the
+/// source hangs off.
+struct SeedLabel {
+  double dist = 0.0;
+  std::int32_t hops = 0;
+  NodeId parent = kNoNode;
+  LinkId parent_link = kNoLink;
+};
+
 /// Reusable scratch space for repeated Dijkstra runs. A single run
 /// allocates four result vectors plus the queue and settled flags; hot
 /// paths (candidate enumeration, per-member recovery searches) run
 /// thousands of searches per trial, so they thread one workspace through
 /// and every run after the first reuses the same storage. A run into the
-/// workspace's own tree records the nodes it labels, and the next run
-/// resets only those entries, so a search that stops early or is bounded
-/// costs what it explores, not O(nodes). Runs into caller-owned trees
-/// fill the whole tree anyway and record nothing. Results are bit-for-bit
-/// identical to the free functions (a property test enforces this). Not
-/// thread-safe; use one workspace per thread.
+/// workspace's own tree, and a seeded run, record the nodes they label,
+/// and the next run resets only those entries, so a search that stops
+/// early, is bounded or stays in one region costs what it explores, not
+/// O(nodes). Whole-tree runs into caller-owned trees fill the whole tree
+/// anyway and record nothing. Results are bit-for-bit identical to the
+/// free functions (a property test enforces this). Not thread-safe; use
+/// one workspace per thread.
 class DijkstraWorkspace {
  public:
   /// Run Dijkstra and return the workspace's internal result tree. The
@@ -232,12 +242,24 @@ class DijkstraWorkspace {
 
   /// Same as run/run_absorbing, but fill a caller-owned tree (reusing its
   /// capacity; every entry is rewritten); only the queue/settled scratch
-  /// is shared with the workspace.
+  /// is shared with the workspace. `dead_ends` prunes as in run_absorbing.
   void run_into(const Graph& g, NodeId source, const ExclusionSet& excluded,
-                ShortestPathTree& out);
+                ShortestPathTree& out,
+                const DeadEndMarks* dead_ends = nullptr);
   void run_absorbing_into(const Graph& g, NodeId source,
                           const std::vector<char>& absorbing,
                           const ExclusionSet& excluded, ShortestPathTree& out);
+
+  /// Continue a whole-graph run into `out`, which is sized to `g` and
+  /// holds the run's labels everywhere the seeded run cannot reach:
+  /// `source` gets `seed`'s label, and `seed.parent` counts as settled, so
+  /// the link back to it is never relaxed. That is the state a full run
+  /// is in when it settles `source`, if `source` is the far end of a
+  /// bridge from `seed.parent`: the run then labels exactly the region
+  /// behind the bridge, as the full run does (DESIGN.md §16), and leaves
+  /// every other entry of `out` as it was. No exclusions, no pruning.
+  void run_seeded_into(const Graph& g, NodeId source, const SeedLabel& seed,
+                       ShortestPathTree& out);
 
   /// The internal tree the last run/run_absorbing/run_to_first_absorbed
   /// filled.
@@ -245,7 +267,8 @@ class DijkstraWorkspace {
     return tree_;
   }
   /// Nodes the last run gave a finite distance, in labelling order (empty
-  /// after a run into a caller-owned tree).
+  /// after a whole-tree run into a caller-owned tree; a seeded run lists
+  /// its seed's parent first).
   [[nodiscard]] const std::vector<NodeId>& labelled() const noexcept {
     return labelled_;
   }
@@ -263,14 +286,20 @@ class DijkstraWorkspace {
   NodeId run_impl(const Graph& g, NodeId source, const ExclusionSet& excluded,
                   const std::vector<char>* absorbing, SearchBound bound,
                   const DeadEndMarks* dead_ends, bool stop_at_absorbed,
-                  ShortestPathTree& out);
-  void check_absorbing(const Graph& g, NodeId source,
-                       const std::vector<char>& absorbing,
-                       const DeadEndMarks* dead_ends) const;
+                  const SeedLabel* seed, ShortestPathTree& out);
+  static void check_absorbing(const Graph& g, NodeId source,
+                              const std::vector<char>& absorbing,
+                              const DeadEndMarks* dead_ends);
+  static void check_dead_ends(const Graph& g, NodeId source,
+                              const DeadEndMarks* dead_ends);
 
   ShortestPathTree tree_;  ///< result of run()/run_absorbing()
-  /// Whether the last run wrote tree_ and recorded labelled_ (so the
-  /// next run resets sparsely); false after a run into a caller-owned tree.
+  /// Whether the last run recorded labelled_ (so the next run resets the
+  /// settled flags sparsely): false after a whole-tree run into a
+  /// caller-owned tree.
+  bool listed_ = false;
+  /// Whether the last run wrote tree_ (so the next run also resets
+  /// labelled_'s entries of tree_).
   bool tree_dirty_ = false;
   std::vector<NodeId> labelled_;                 ///< see labelled()
   std::vector<std::pair<double, NodeId>> heap_;  ///< (dist, node) min-heap

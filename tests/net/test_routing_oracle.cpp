@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -29,9 +31,41 @@ void expect_identical(const ShortestPathTree& a, const ShortestPathTree& b) {
   EXPECT_EQ(a.hops, b.hops);
 }
 
+/// expect_identical, with dist compared bit for bit (== would pass
+/// -0.0 for 0.0).
+void expect_bit_identical(const ShortestPathTree& got,
+                          const ShortestPathTree& want) {
+  ASSERT_EQ(got.dist.size(), want.dist.size());
+  for (std::size_t i = 0; i < got.dist.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.dist[i]),
+              std::bit_cast<std::uint64_t>(want.dist[i]))
+        << "node " << i << ": " << got.dist[i] << " vs " << want.dist[i];
+  }
+  expect_identical(got, want);
+}
+
+/// Whether `n` lies in a root component of `g`'s bridge tree: the
+/// sources whose misses are composed.
+bool in_root_component(const Graph& g, NodeId n) {
+  const BridgeTree& bt = g.bridge_tree();
+  return bt.parent[static_cast<std::size_t>(
+             bt.component[static_cast<std::size_t>(n)])] == -1;
+}
+
+/// Whether `g` has a region: a component directly below a root.
+bool has_region(const Graph& g) {
+  const BridgeTree& bt = g.bridge_tree();
+  for (const std::int32_t up : bt.parent) {
+    if (up != -1 && bt.parent[static_cast<std::size_t>(up)] == -1) {
+      return true;
+    }
+  }
+  return false;
+}
+
 void expect_counter_invariants(const RoutingOracle::Stats& s) {
   EXPECT_EQ(s.lookups, s.cache_hits + s.cache_misses);
-  EXPECT_EQ(s.cache_misses, s.full_runs);  // every miss is one full run
+  EXPECT_EQ(s.cache_misses, s.full_runs);  // every miss, composed or not
   EXPECT_EQ(s.incremental_repairs, 0u);
 }
 
@@ -405,6 +439,64 @@ TEST(RoutingOracle, SameKeyStampedeComputesOnce) {
   expect_identical(*results[0], dijkstra(g, 0));
 }
 
+TEST(RoutingOracle, ColdStampedeBuildsRegionsOnce) {
+  // Eight threads make the first lookups on a cold oracle: every one of
+  // them is a composable miss, the first of which builds the region
+  // trees while the others wait in std::call_once.
+  Rng rng(41);
+  TransitStubParams params;
+  params.transit_nodes = 10;
+  params.stubs_per_transit = 4;
+  params.stub_size = 12;
+  const TransitStubTopology topo = generate_transit_stub(params, rng);
+  const Graph& g = topo.graph;
+  std::vector<NodeId> sources;
+  for (NodeId s = 0; s < g.node_count(); ++s) {
+    if (in_root_component(g, s)) sources.push_back(s);
+  }
+  ASSERT_GE(sources.size(), 2u);
+  ASSERT_TRUE(has_region(g));
+  std::vector<ShortestPathTree> fresh;
+  for (const NodeId s : sources) fresh.push_back(dijkstra(g, s));
+
+  RoutingOracle oracle(g);
+  constexpr int kThreads = 8;
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::vector<std::vector<RoutingOracle::TreePtr>> got(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      // Each thread starts at a different source, so the first lookups
+      // are distinct keys that all need the regions.
+      for (std::size_t k = 0; k < sources.size(); ++k) {
+        const std::size_t i = (k + static_cast<std::size_t>(t)) % sources.size();
+        got[static_cast<std::size_t>(t)].push_back(oracle.spf(sources[i]));
+      }
+    });
+  }
+  while (ready.load() < kThreads) {
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& th : threads) th.join();
+
+  const auto s = oracle.stats();
+  EXPECT_EQ(s.region_builds, 1u);
+  EXPECT_EQ(s.cache_misses, sources.size());
+  EXPECT_EQ(s.composed, sources.size());
+  expect_counter_invariants(s);
+  for (int t = 0; t < kThreads; ++t) {
+    for (std::size_t k = 0; k < sources.size(); ++k) {
+      const std::size_t i = (k + static_cast<std::size_t>(t)) % sources.size();
+      expect_bit_identical(*got[static_cast<std::size_t>(t)][k], fresh[i]);
+    }
+  }
+}
+
 TEST(RoutingOracle, ConcurrentMissesNeverExceedDistinctKeys) {
   // The dedup guarantee at hammer scale: K threads sweeping the same key
   // set (sources and one-link exclusions) produce at most one computation
@@ -531,6 +623,114 @@ void run_equivalence_property(const Graph& g, std::uint64_t seed, int steps) {
   }
   expect_counter_invariants(oracle.stats());
   EXPECT_GT(oracle.stats().cache_hits, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Composed misses (DESIGN.md §16): a root-component source's snapshot is a
+// core-only run plus the shared region trees, and must equal a fresh
+// Dijkstra run in every byte.
+// ---------------------------------------------------------------------------
+
+/// Every root-component source of `g` through a fresh oracle, checked
+/// against dijkstra(); then exclusion lookups and non-root sources, which
+/// must not be composed. Returns the oracle's counters.
+RoutingOracle::Stats expect_composition_exact(const Graph& g) {
+  RoutingOracle oracle(g);
+  std::uint64_t root_sources = 0;
+  for (NodeId s = 0; s < g.node_count(); ++s) {
+    if (!in_root_component(g, s)) continue;
+    ++root_sources;
+    expect_bit_identical(*oracle.spf(s), dijkstra(g, s));
+  }
+  const RoutingOracle::Stats composed = oracle.stats();
+  if (has_region(g)) {
+    EXPECT_EQ(composed.composed, root_sources);
+    EXPECT_EQ(composed.region_builds, 1u);
+  } else {
+    EXPECT_EQ(composed.composed, 0u);
+  }
+
+  for (NodeId s = 0; s < g.node_count(); ++s) {
+    if (in_root_component(g, s)) {
+      ExclusionSet banned(g);
+      banned.ban_link(static_cast<LinkId>(s % g.link_count()));
+      expect_bit_identical(*oracle.spf(s, banned), dijkstra(g, s, banned));
+    } else {
+      expect_bit_identical(*oracle.spf(s), dijkstra(g, s));
+    }
+  }
+  const RoutingOracle::Stats after = oracle.stats();
+  EXPECT_EQ(after.composed, composed.composed);
+  EXPECT_EQ(after.region_builds, composed.region_builds);
+  expect_counter_invariants(after);
+  return after;
+}
+
+TEST(RoutingOracleProperty, ComposedSnapshotsMatchFreshDijkstra) {
+  std::uint64_t composed = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    for (const double stub_alpha : {0.9, 0.05}) {
+      for (const LinkWeightMode mode :
+           {LinkWeightMode::kEuclidean, LinkWeightMode::kUnit}) {
+        Rng rng(seed * 7919);
+        TransitStubParams params;
+        params.transit_nodes = 6;
+        params.stubs_per_transit = 3;
+        params.stub_size = 2 + static_cast<int>(seed) * 3;
+        params.stub_alpha = stub_alpha;
+        params.weight_mode = mode;
+        const TransitStubTopology topo = generate_transit_stub(params, rng);
+        SCOPED_TRACE(::testing::Message()
+                     << "transit-stub seed " << seed << " stub alpha "
+                     << stub_alpha << " unit " << (mode == LinkWeightMode::kUnit));
+        ASSERT_TRUE(has_region(topo.graph));
+        composed += expect_composition_exact(topo.graph).composed;
+      }
+    }
+    Rng graphs(seed * 6151);
+    for (const Graph& g : testing::bridge_rich_graphs(graphs)) {
+      SCOPED_TRACE(::testing::Message() << "bridge-rich seed " << seed
+                                        << " nodes " << g.node_count());
+      ASSERT_TRUE(has_region(g));
+      composed += expect_composition_exact(g).composed;
+    }
+    Rng wax_rng(seed * 104729);
+    WaxmanParams wax;
+    wax.node_count = 60;
+    SCOPED_TRACE(::testing::Message() << "waxman seed " << seed);
+    (void)expect_composition_exact(waxman_graph(wax, wax_rng));
+  }
+  EXPECT_GT(composed, 0u);
+}
+
+// A region whose region-local winner loses once the entry distance is
+// added: x = 5 is reached from the entry 3 directly (0.3) or through 4
+// (0.1 + 0.2). From the entry, 0.3 < fl(0.1 + 0.2) picks the direct link;
+// from source 0, 10 away, fl(fl(10 + 0.1) + 0.2) = 10.299999999999999 <
+// fl(10 + 0.3) = 10.3 picks the path through 4. Copying the region's tree
+// would give x the wrong parent; the guard sends the region to a seeded
+// run instead.
+TEST(ComposedSnapshot, NearTieRegionTakesTheSeededRun) {
+  constexpr NodeId kEntry = 3, kVia = 4, kX = 5;
+  const Graph g(6, {{0, 1, 1.0},
+                    {1, 2, 1.0},
+                    {2, 0, 1.0},
+                    {0, kEntry, 10.0},
+                    {kEntry, kVia, 0.1},
+                    {kVia, kX, 0.2},
+                    {kEntry, kX, 0.3}});
+  ASSERT_TRUE(has_region(g));
+  ASSERT_TRUE(in_root_component(g, 0));
+  // The premise: the two winners differ.
+  ASSERT_EQ(dijkstra(g, kEntry).parent[kX], kEntry);
+  ASSERT_EQ(dijkstra(g, 0).parent[kX], kVia);
+
+  RoutingOracle oracle(g);
+  for (const NodeId s : {0, 1, 2}) {
+    expect_bit_identical(*oracle.spf(s), dijkstra(g, s));
+  }
+  EXPECT_EQ(oracle.spf(0)->parent[kX], kVia);
+  EXPECT_EQ(oracle.stats().composed, 3u);
 }
 
 TEST(RoutingOracleProperty, EquivalentToFreshDijkstraOnWaxman) {
