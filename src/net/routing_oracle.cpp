@@ -291,8 +291,6 @@ void RoutingOracle::build_regions() {
   }
   regions_ = std::move(regions);
   steps_ = std::move(steps);
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.region_builds;
 }
 
 RoutingOracle::TreePtr RoutingOracle::composed_run(NodeId source) {

@@ -83,9 +83,6 @@ class RoutingOracle {
     std::uint64_t full_runs = 0;  ///< misses, each one whole snapshot
     /// Misses of full_runs served by composition instead of one full run.
     std::uint64_t composed = 0;
-    /// 1 once the oracle has built its region trees (on the first
-    /// composable miss), else 0.
-    std::uint64_t region_builds = 0;
 
     /// Fold another oracle's (or run's) counters into this one — the one
     /// summation every stats consumer shares (multi-oracle benches, the
@@ -97,7 +94,6 @@ class RoutingOracle {
       incremental_repairs += other.incremental_repairs;
       full_runs += other.full_runs;
       composed += other.composed;
-      region_builds += other.region_builds;
       return *this;
     }
   };
